@@ -44,7 +44,14 @@ from .hierarchy import (
     parse_fn_descriptor,
 )
 from .machines import Halted, InvalidTable, format_tm_text, parse_tm_text, run
-from .ordinals import NotLimit, ParseError, fundamental_sequence, ord_format, ord_parse
+from .ordinals import (
+    NotLimit,
+    ParseError,
+    clock_index_ordinal,
+    fundamental_sequence,
+    ord_format,
+    ord_parse,
+)
 from .registry import FRegistry
 from .sat import (
     Exhausted,
@@ -64,8 +71,28 @@ DEFAULT_BUDGET = 10 ** 4
 DEFAULT_FUEL = 10 ** 6
 
 
-def _default_budget() -> int:
-    return int(os.environ.get("CLOCKWORK_BUDGET", DEFAULT_BUDGET))
+def _natural(text: str) -> int:
+    """argparse type for counts, budgets and fuel: a decimal integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
+def _budget(args) -> int:
+    """--budget when given, else CLOCKWORK_BUDGET, else DEFAULT_BUDGET."""
+    if args.budget is not None:
+        return args.budget
+    text = os.environ.get("CLOCKWORK_BUDGET")
+    if text is None:
+        return DEFAULT_BUDGET
+    try:
+        return _natural(text)
+    except argparse.ArgumentTypeError as err:
+        raise ValueError("CLOCKWORK_BUDGET %s" % err)
 
 
 def _emit(args, command: str, inputs: dict, outcome: dict, cost: dict) -> None:
@@ -199,7 +226,7 @@ def _search_outcome(got) -> dict:
 
 
 def _cmd_fna_search(args) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     inputs = {"machine": args.machine, "budget": budget, "fuel": args.fuel,
               "guarded": args.guarded}
     try:
@@ -216,9 +243,8 @@ def _cmd_fna_search(args) -> int:
 
 def _cmd_ord_eval(args) -> int:
     alpha = _alpha_arg(args.alpha)
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     if alpha == "eps0":
-        from .ordinals import clock_index_ordinal
         alpha = clock_index_ordinal(args.x)
     got = fgh_eval(alpha, args.x, budget)
     inputs = {"alpha": args.alpha, "x": args.x, "budget": budget}
@@ -238,7 +264,7 @@ def _cmd_ord_fs(args) -> int:
 
 
 def _cmd_dominate(args) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     f_desc = parse_fn_descriptor(args.f)
     g_desc = parse_fn_descriptor(args.g)
     got = dominates_on_window(f_desc, g_desc, (args.lo, args.hi), budget)
@@ -297,7 +323,7 @@ def _cmd_qfam_stride(args) -> int:
 
 def _cmd_qfam_peaks(args) -> int:
     alpha = _alpha_arg(args.alpha)
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     registry = _registry(args)
     for n in range(args.n0, args.n0 + args.count):
         inputs = {"alpha": args.alpha, "n": n, "width": args.width,
@@ -339,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tm-run", parents=[common], help="run a machine on a word")
     p.add_argument("file")
     p.add_argument("word", nargs="?", default="")
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL)
     p.set_defaults(handler=_cmd_tm_run)
 
     p = sub.add_parser("tm-encode", parents=[common],
@@ -378,8 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fna-search", parents=[common, reg],
                        help="search for a counterexample to a machine")
     p.add_argument("machine", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--budget", type=_natural)
+    p.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL)
     p.add_argument("--guarded", action="store_true",
                    help="only search recognized solver indices")
     p.set_defaults(handler=_cmd_fna_search)
@@ -388,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="evaluate the fast-growing hierarchy")
     p.add_argument("alpha", help="ordinal text, or eps0 for the diagonal")
     p.add_argument("x", type=int)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_natural)
     p.set_defaults(handler=_cmd_ord_eval)
 
     p = sub.add_parser("ord-fs", parents=[common],
@@ -403,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("g")
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_natural)
     p.set_defaults(handler=_cmd_dominate)
 
     p = sub.add_parser("qfam-build", parents=[common, reg],
@@ -417,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="index progressions of a family")
     p.add_argument("alpha")
     p.add_argument("n0", type=int)
-    p.add_argument("--count", type=int, default=4)
+    p.add_argument("--count", type=_natural, default=4)
     p.add_argument("--width", type=int, default=16)
     p.set_defaults(handler=_cmd_qfam_stride)
 
@@ -425,10 +451,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="counterexample peaks along a family")
     p.add_argument("alpha")
     p.add_argument("n0", type=int)
-    p.add_argument("--count", type=int, default=3)
+    p.add_argument("--count", type=_natural, default=3)
     p.add_argument("--width", type=int, default=16)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--budget", type=_natural)
+    p.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL)
     p.set_defaults(handler=_cmd_qfam_peaks)
 
     return top

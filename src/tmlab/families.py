@@ -15,14 +15,14 @@ that hierarchy while each member stays a plain finite table.
 from dataclasses import dataclass
 from typing import Optional
 
-from .clocks import DEFAULT_EVAL_BUDGET, BudgetExceeded, Parametrized, PlainPoly
-from .codec import clock_index, encode_table, family_index
+from .clocks import DEFAULT_EVAL_BUDGET, BudgetExceeded, ClockedMachine, Parametrized, PlainPoly
+from .codec import clock_index, encode_table, family_index, sigma_embed
 from .hierarchy import FnDescriptor, Overflow, fgh_eval, fn_eval
 from .machines import BLANK, Halted, MachineTable, Rule, run
 from .ordinals import OrdinalCNF
 from .registry import FRegistry, register
-from .sat import solve_E
-from .words import index_word, pair, word_index
+from .sat import Found, f_neg_A, solve_E
+from .words import index_word, pair, proj1, word_index
 
 DESK_THRESHOLD_BOUND = 1 << 12  # largest table we agree to materialize
 
@@ -71,8 +71,8 @@ class StrideReport:
     stride: Optional[int]  # None when the progression is not affine
 
     @property
-    def base(self) -> int:
-        return self.indices[0]
+    def base(self) -> Optional[int]:
+        return self.indices[0] if self.indices else None  # None: empty progression
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,10 @@ def build_q_table(alpha, n: int, width: int = 16,
     worst = _measure(rules, outputs)
     for x, out in enumerate(outputs):
         length = len(index_word(x))
-        assert length + max(1, len(out)) <= length ** threshold + threshold, \
+        need = length + max(1, len(out))
+        # length ** threshold >= 0, so need <= threshold already fits the
+        # clock without computing that power
+        assert need <= threshold or need <= length ** threshold + threshold, \
             "in-range run exceeds the family clock at %d" % x
     return QTable(rules, threshold=threshold, worst_steps=worst,
                   alpha=alpha, n=n, width=width)
@@ -240,11 +243,6 @@ def peak_probe(alpha, n: int, width: int = 16,
                registry: Optional[FRegistry] = None) -> PeakResult:
     """Build the n-th member, embed it with its own family clock, and search
     for the first position where the clocked pair answers wrongly."""
-    from .codec import sigma_embed  # placed here beside its sibling imports
-    from .clocks import ClockedMachine
-    from .sat import Found, f_neg_A
-    from .words import proj1
-
     table, _, spec = build_Q(alpha, n, width, registry=registry)
     sigma = sigma_embed(ClockedMachine(table, Parametrized(alpha, n, width)))
     register(sigma, registry)

@@ -6,7 +6,9 @@ builder (or is syntactically a clocked pair).  The in-process set covers a
 single run; FRegistry persists the set across command invocations.
 """
 
+import fcntl
 import os
+import tempfile
 from pathlib import Path
 
 _HEADER = "fregistry 1"
@@ -37,7 +39,9 @@ def members() -> frozenset:
 
 class FRegistry:
     """Durable registry: header line, then one decimal index per line.
-    Writes go through a temp file and rename, so readers never see a torn file."""
+    Writes go through a unique temp file and rename, so readers never see a
+    torn file; add holds an exclusive lock on a sibling `.lock` file across
+    its read-modify-write, so concurrent processes lose no index."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -53,17 +57,28 @@ class FRegistry:
         return {int(line) for line in lines[1:] if line}
 
     def add(self, index: int) -> None:
-        got = self.load()
-        if index in got:
-            return
-        got.add(index)
-        self._write(got)
+        # the registry file itself is replaced on every write, so the lock
+        # lives on a file that is never renamed; closing it releases the lock
+        with open(self.path.with_name(self.path.name + ".lock"), "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            got = self.load()
+            if index in got:
+                return
+            got.add(index)
+            self._write(got)
 
     def __contains__(self, index: int) -> bool:
         return index in self.load()
 
     def _write(self, indices: set[int]) -> None:
-        tmp = self.path.with_name(self.path.name + ".tmp")
+        fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name + ".",
+                                   suffix=".tmp")
         body = "".join("%d\n" % i for i in sorted(indices))
-        tmp.write_text(_HEADER + "\n" + body)
-        os.replace(tmp, self.path)
+        try:
+            with os.fdopen(fd, "w") as f:
+                os.fchmod(f.fileno(), 0o644)  # mkstemp creates files 0600
+                f.write(_HEADER + "\n" + body)
+            os.replace(tmp, self.path)
+        except BaseException:
+            os.unlink(tmp)
+            raise

@@ -14,7 +14,9 @@ from itertools import groupby
 from typing import Optional, Union
 
 from .clocks import ClockedMachine, clocked_run
+from .codec import ClockedTable, decode_index, is_sigma_image
 from .machines import MachineTable, OutOfFuel, run
+from .registry import registered
 from .words import index_word, pair, proj1, unpair, word_index
 
 DEFAULT_FUEL = 10 ** 6
@@ -180,18 +182,26 @@ def _satisfies(f: CnfFormula, assignment: str) -> bool:
     return True
 
 
+def _check(f: CnfFormula, assignment: str) -> int:
+    """1 iff the assignment word has exactly f's variable count and satisfies f."""
+    if len(assignment) != f.num_vars:
+        return 0
+    return 1 if _satisfies(f, assignment) else 0
+
+
+def _formula_or_none(word: str) -> Optional[CnfFormula]:
+    try:
+        return decode_cnf(word)
+    except MalformedCnf:
+        return None
+
+
 def verify(z: int) -> int:
     """1 iff position z = pair(x, y) pairs a well-formed formula word with an
     assignment word of exactly matching length that satisfies it."""
     x, y = unpair(z)
-    try:
-        f = decode_cnf(index_word(x))
-    except MalformedCnf:
-        return 0
-    assignment = index_word(y)
-    if len(assignment) != f.num_vars:
-        return 0
-    return 1 if _satisfies(f, assignment) else 0
+    f = _formula_or_none(index_word(x))
+    return 0 if f is None else _check(f, index_word(y))
 
 
 def verify_cost(z: int) -> tuple:
@@ -224,9 +234,8 @@ def solve_E(x: int) -> int:
     """Position of the first satisfying assignment word for formula word x,
     scanning assignments in enumeration order; 0 when unsatisfiable or
     malformed.  Exponential in the number of variables by design."""
-    try:
-        f = decode_cnf(index_word(x))
-    except MalformedCnf:
+    f = _formula_or_none(index_word(x))
+    if f is None:
         return 0
     n = f.num_vars
     for value in range(1 << n):
@@ -239,8 +248,6 @@ def solve_E(x: int) -> int:
 def _as_runner(m: int, fuel: int):
     """Resolve index m to a word->word function.  Clocked pairs run under
     their own clock (total); plain tables run fuel-bounded."""
-    from .codec import ClockedTable, decode_index  # sat is imported by codec's family path
-
     decoded = decode_index(m)
     if isinstance(decoded, ClockedTable):
         p = ClockedMachine(decoded.machine, decoded.clock)
@@ -273,20 +280,39 @@ def neg_A(m: int, z: int, fuel: int = DEFAULT_FUEL) -> bool:
 def f_neg_A(m: int, budget: int, fuel: int = DEFAULT_FUEL) -> SearchOutcome:
     """Scan z = 0, 1, ... below budget for the first counterexample to m.
     Returns Found(z, z) or Exhausted(budget); raises IndeterminateSearch when a
-    plain machine runs out of fuel on a formula that still had to be checked."""
+    plain machine runs out of fuel on a formula that still had to be checked.
+
+    Each formula word is decoded once per scan, and m is consulted once per
+    formula, at the first z that verifies for it; that verdict is reused for
+    the later z on the same formula."""
     runner = _as_runner(m, fuel)
-    answers = {}
-    for z in range(budget):
-        if verify(z) != 1:
-            continue
-        x = proj1(z)
-        if x not in answers:
+    formulas = {}  # x -> formula of index_word(x), None when malformed
+    fails = {}  # x -> whether m's answer on x fails that formula
+    base = 0  # z = base + y walks the diagonal x + y = s
+    s = 0
+    while base < budget:
+        for y in range(min(s + 1, budget - base)):
+            x = s - y
             try:
-                answers[x] = word_index(runner(index_word(x)))
-            except FuelExhausted:
-                raise IndeterminateSearch(z)
-        if verify(pair(x, answers[x])) == 0:
-            return Found(z, z)
+                f = formulas[x]
+            except KeyError:
+                f = formulas[x] = _formula_or_none(index_word(x))
+            # a word's length is (position + 1).bit_length() - 1
+            if f is None or (y + 1).bit_length() - 1 != f.num_vars:
+                continue
+            if not _check(f, index_word(y)):
+                continue
+            verdict = fails.get(x)
+            if verdict is None:
+                try:
+                    answer = runner(index_word(x))
+                except FuelExhausted:
+                    raise IndeterminateSearch(base + y)
+                verdict = fails[x] = _check(f, answer) == 0
+            if verdict:
+                return Found(base + y, base + y)
+        base += s + 1
+        s += 1
     return Exhausted(budget)
 
 
@@ -295,9 +321,6 @@ def f_prime(m: int, budget: int, fuel: int = DEFAULT_FUEL,
     """Guarded search: only indices recognized as clocked pairs or registered
     as built finite-threshold solvers are searched; everything else gets the
     default answer Found(0, 0) immediately."""
-    from .codec import is_sigma_image
-    from .registry import registered
-
     if is_sigma_image(m) or registered(m, file_registry):
         return f_neg_A(m, budget, fuel)
     return Found(0, 0)

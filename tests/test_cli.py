@@ -263,3 +263,39 @@ def test_determinism(capsys):
     assert cli.main(["qfam-stride", "1", "0", "--count", "3",
                      "--no-registry"]) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["fna-search", "0", "--budget", "-3"],
+    ["fna-search", "0", "--fuel", "-1"],
+    ["ord-eval", "2", "3", "--budget", "-1"],
+    ["dominate", "fgh:2", "fgh:1", "--lo", "1", "--hi", "8", "--budget", "-1"],
+    ["qfam-stride", "1", "0", "--count", "-1", "--no-registry"],
+    ["qfam-peaks", "1", "3", "--count", "-2", "--no-registry"],
+    ["qfam-peaks", "1", "3", "--budget", "-5", "--no-registry"],
+    ["qfam-peaks", "1", "3", "--fuel", "-5", "--no-registry"],
+])
+def test_negative_amounts_are_usage_errors(argv, capsys):
+    assert cli.main(argv) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert "error:" in got.err and "must be >= 0" in got.err
+
+
+def test_negative_budget_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CLOCKWORK_BUDGET", "-3")
+    assert cli.main(["fna-search", "0"]) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert "error: CLOCKWORK_BUDGET must be >= 0" in got.err
+
+
+def test_zero_amounts_still_answer(capsys):
+    assert cli.main(["fna-search", "0", "--budget", "0"]) == 0
+    assert records(capsys)[0]["outcome"] == {"kind": "exhausted", "budget": 0}
+    assert cli.main(["qfam-peaks", "1", "3", "--count", "0", "--no-registry"]) == 0
+    assert records(capsys) == []
+    assert cli.main(["qfam-stride", "1", "0", "--count", "0", "--no-registry"]) == 0
+    machine, clock, quad = records(capsys)
+    assert machine["outcome"]["indices"] == [] and machine["outcome"]["base"] is None
+    assert quad["outcome"]["indices"] == []

@@ -1,7 +1,13 @@
 """Dispatch-table builders, index families, and the peak probe."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import tmlab
 from tmlab import registry
 from tmlab.clocks import BudgetExceeded, Parametrized, PlainPoly
 from tmlab.codec import clock_index, encode_table, family_index
@@ -176,3 +182,28 @@ def test_register_with_file_backing(tmp_path):
     registry.clear()
     assert not registry.registered(42)
     assert registry.registered(42, reg)  # file backing survives the clear
+
+
+_ADDER = """
+import sys
+from tmlab.registry import FRegistry
+reg = FRegistry(sys.argv[1])
+for i in range(int(sys.argv[2]), int(sys.argv[3])):
+    reg.add(i)
+"""
+
+
+def test_file_registry_concurrent_processes_lose_nothing(tmp_path):
+    path = tmp_path / "fregistry.txt"
+    src = str(Path(tmlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    # three writers on two cores, each adding 100 indices of its own
+    starts = (0, 1000, 2000)
+    procs = [subprocess.Popen([sys.executable, "-c", _ADDER, str(path), str(lo), str(lo + 100)],
+                              env=env, stderr=subprocess.PIPE, text=True)
+             for lo in starts]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    assert FRegistry(path).load() == {lo + i for lo in starts for i in range(100)}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fregistry.txt", "fregistry.txt.lock"]

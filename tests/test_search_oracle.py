@@ -1,0 +1,95 @@
+"""f_neg_A against the plain per-z scan.
+
+The oracle checks every z below the budget with verify(z) and then judges the
+machine's answer with verify(pair(x, answer)), consulting the machine at the
+first verified z of each formula word.  f_neg_A must give the same outcome:
+the same Found or Exhausted, and the same z when a plain machine runs out of
+fuel.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_table
+from tmlab.clocks import ClockedMachine, PlainPoly, clocked_run
+from tmlab.codec import ClockedTable, decode_index, encode_table, family_index, sigma_embed
+from tmlab.machines import OutOfFuel, run
+from tmlab.ordinals import ord_parse
+from tmlab.sat import Exhausted, Found, IndeterminateSearch, f_neg_A, verify
+from tmlab.words import index_word, pair, proj1, word_index
+
+ORD1 = ord_parse("1")
+
+
+class _Starved(Exception):
+    pass
+
+
+def _oracle_runner(m: int, fuel: int):
+    decoded = decode_index(m)
+    if isinstance(decoded, ClockedTable):
+        p = ClockedMachine(decoded.machine, decoded.clock)
+        return lambda word: clocked_run(p, word).output
+
+    def plain(word: str) -> str:
+        got = run(decoded, word, fuel)
+        if isinstance(got, OutOfFuel):
+            raise _Starved()
+        return got.output
+
+    return plain
+
+
+def per_z_scan(m: int, budget: int, fuel: int) -> tuple:
+    runner = _oracle_runner(m, fuel)
+    answers = {}
+    for z in range(budget):
+        if verify(z) != 1:
+            continue
+        x = proj1(z)
+        if x not in answers:
+            try:
+                answers[x] = word_index(runner(index_word(x)))
+            except _Starved:
+                return ("indeterminate", z)
+        if verify(pair(x, answers[x])) == 0:
+            return ("found", z)
+    return ("exhausted", budget)
+
+
+def scan(m: int, budget: int, fuel: int) -> tuple:
+    try:
+        got = f_neg_A(m, budget, fuel)
+    except IndeterminateSearch as stop:
+        return ("indeterminate", stop.z)
+    if isinstance(got, Found):
+        assert got.value == got.witness
+        return ("found", got.witness)
+    assert isinstance(got, Exhausted)
+    return ("exhausted", got.budget)
+
+
+def _machine(kind: str, rng: random.Random) -> int:
+    if kind == "table":
+        return encode_table(random_table(rng))
+    if kind == "clocked":
+        return sigma_embed(ClockedMachine(random_table(rng), PlainPoly(rng.randint(0, 3))))
+    n = rng.randint(0, 40)  # a family member: alpha 1, a plain dispatch table
+    return family_index(ORD1, n, rng.randint(max(1, n.bit_length()), 16))
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from(("table", "clocked", "family")), st.integers(0, 2 ** 30),
+       st.integers(0, 3000), st.one_of(st.integers(0, 40), st.just(10 ** 6)))
+def test_scan_matches_per_z_oracle(kind, seed, budget, fuel):
+    m = _machine(kind, random.Random(seed))
+    assert scan(m, budget, fuel) == per_z_scan(m, budget, fuel)
+
+
+def test_fuel_starved_member_stops_at_the_same_z():
+    # the member answers short formula words within 5 steps, so the scan
+    # consults it several times before a longer word runs it out of fuel
+    m = family_index(ORD1, 30, 16)
+    got = scan(m, 3000, 5)
+    assert got == per_z_scan(m, 3000, 5) == ("indeterminate", 234)
