@@ -8,7 +8,6 @@ from .machines import (
     OutOfFuel,
     Rule,
     format_tm_text,
-    output_word,
     parse_tm_text,
     run,
     trivial_machine,

@@ -54,6 +54,7 @@ from .ordinals import (
 )
 from .registry import FRegistry
 from .sat import (
+    DEFAULT_FUEL,
     Exhausted,
     Found,
     IndeterminateSearch,
@@ -68,11 +69,11 @@ from .sat import (
 from .words import index_word, pair, word_index
 
 DEFAULT_BUDGET = 10 ** 4
-DEFAULT_FUEL = 10 ** 6
 
 
 def _natural(text: str) -> int:
-    """argparse type for counts, budgets and fuel: a decimal integer >= 0."""
+    """argparse type for indices, positions, counts, budgets and fuel: a
+    decimal integer >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -375,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tm-decode", parents=[common],
                        help="machine named by an index")
-    p.add_argument("index", type=int)
+    p.add_argument("index", type=_natural)
     p.set_defaults(handler=_cmd_tm_decode)
 
     p = sub.add_parser("clock-run", parents=[common],
@@ -388,22 +389,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sat-verify", parents=[common],
                        help="check a paired formula/assignment position")
-    p.add_argument("z", nargs="?", type=int)
-    p.add_argument("--x", type=int)
-    p.add_argument("--y", type=int)
+    p.add_argument("z", nargs="?", type=_natural)
+    p.add_argument("--x", type=_natural)
+    p.add_argument("--y", type=_natural)
     p.add_argument("--dimacs")
     p.add_argument("--assign", help="assignment bits for --dimacs")
     p.set_defaults(handler=_cmd_sat_verify)
 
     p = sub.add_parser("sat-solve", parents=[common],
                        help="first satisfying assignment position")
-    p.add_argument("x", nargs="?", type=int)
+    p.add_argument("x", nargs="?", type=_natural)
     p.add_argument("--dimacs")
     p.set_defaults(handler=_cmd_sat_solve)
 
     p = sub.add_parser("fna-search", parents=[common, reg],
                        help="search for a counterexample to a machine")
-    p.add_argument("machine", type=int)
+    p.add_argument("machine", type=_natural)
     p.add_argument("--budget", type=_natural)
     p.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL)
     p.add_argument("--guarded", action="store_true",
@@ -413,14 +414,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ord-eval", parents=[common],
                        help="evaluate the fast-growing hierarchy")
     p.add_argument("alpha", help="ordinal text, or eps0 for the diagonal")
-    p.add_argument("x", type=int)
+    p.add_argument("x", type=_natural)
     p.add_argument("--budget", type=_natural)
     p.set_defaults(handler=_cmd_ord_eval)
 
     p = sub.add_parser("ord-fs", parents=[common],
                        help="fundamental sequence member of a limit ordinal")
     p.add_argument("alpha")
-    p.add_argument("x", type=int)
+    p.add_argument("x", type=_natural)
     p.set_defaults(handler=_cmd_ord_fs)
 
     p = sub.add_parser("dominate", parents=[common],
@@ -435,24 +436,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qfam-build", parents=[common, reg],
                        help="build one threshold-solver family member")
     p.add_argument("alpha")
-    p.add_argument("n", type=int)
-    p.add_argument("--width", type=int, default=16)
+    p.add_argument("n", type=_natural)
+    p.add_argument("--width", type=_natural, default=16)
     p.set_defaults(handler=_cmd_qfam_build)
 
     p = sub.add_parser("qfam-stride", parents=[common, reg],
                        help="index progressions of a family")
     p.add_argument("alpha")
-    p.add_argument("n0", type=int)
+    p.add_argument("n0", type=_natural)
     p.add_argument("--count", type=_natural, default=4)
-    p.add_argument("--width", type=int, default=16)
+    p.add_argument("--width", type=_natural, default=16)
     p.set_defaults(handler=_cmd_qfam_stride)
 
     p = sub.add_parser("qfam-peaks", parents=[common, reg],
                        help="counterexample peaks along a family")
     p.add_argument("alpha")
-    p.add_argument("n0", type=int)
+    p.add_argument("n0", type=_natural)
     p.add_argument("--count", type=_natural, default=3)
-    p.add_argument("--width", type=int, default=16)
+    p.add_argument("--width", type=_natural, default=16)
     p.add_argument("--budget", type=_natural)
     p.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL)
     p.set_defaults(handler=_cmd_qfam_peaks)

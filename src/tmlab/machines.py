@@ -11,20 +11,24 @@ run is fuel-bounded and therefore total.
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple, Union
 
 BLANK = "_"
 SYMBOLS = ("0", "1", BLANK)
 MOVES = ("L", "R", "N")
 _DELTA = {"L": -1, "R": 1, "N": 0}
-_SYM_ORDER = {"0": 0, "1": 1, BLANK: 2}
+_SYM_ORDER = {"0": 0, "1": 1, BLANK: 2}  # also the symbol codes on the run tape
+
+# Row offset of the all-None row that ends a compiled program.  Rules that
+# start a head-still loop jump there, so the run stops one step later.
+_LOOP = -3
+_TO_CODES = bytes.maketrans(b"01", b"\0\1")
+_FROM_CODES = bytes.maketrans(b"\0\1\2", b"01_")
+_PAD = b"\2" * 32  # blank cells on each side of a fresh tape
 
 
 class InvalidTable(ValueError):
-    pass
-
-
-class NotHalted(Exception):
     pass
 
 
@@ -34,14 +38,6 @@ class Rule(NamedTuple):
     next_state: int
     write: str
     move: str
-
-
-class _AlreadyHalted:
-    def __repr__(self):
-        return "ALREADY_HALTED"
-
-
-ALREADY_HALTED = _AlreadyHalted()
 
 
 @dataclass(frozen=True)
@@ -71,11 +67,50 @@ class MachineTable:
     @cached_property
     def states(self) -> int:
         """Count of non-final states: the largest state index mentioned."""
-        return max((max(r.state, r.next_state) for r in self.rules), default=0)
+        rules = self.rules
+        return max(max(map(itemgetter(0), rules), default=0),
+                   max(map(itemgetter(2), rules), default=0))
 
     @cached_property
-    def rule_map(self) -> dict[tuple[int, str], Rule]:
-        return {(r.state, r.read): r for r in self.rules}
+    def program(self) -> tuple:
+        """The table compiled for `run`, a flat tuple indexed by 3 * state +
+        symbol code (0, 1, 2 for 0, 1, blank).  An entry is (write code, head
+        delta, 3 * next state), or None where no rule matches; state 0's row
+        is all None.  A rule whose chain of N moves comes back to a (state,
+        symbol) pair never lets the run halt: its entry jumps to the _LOOP
+        row instead of its next state."""
+        prog = [None] * (3 * self.states + 6)
+        still = []
+        code, delta = _SYM_ORDER, _DELTA
+        for q, a, q2, w, m in self.rules:
+            at = 3 * q + code[a]
+            prog[at] = (code[w], delta[m], 3 * q2)
+            if m == "N":
+                still.append(at)
+        verdict = {}  # N-move entry -> loops?; None while on the chain being walked
+        for at in still:
+            write, _, row = prog[at]
+            e = prog[row + write]
+            if e is None or e[1]:  # one N move, then a halt or a move
+                continue
+            chain = []
+            j = at
+            while j not in verdict:
+                e = prog[j]
+                if e is None or e[1]:  # halts here or moves the head
+                    loops = False
+                    break
+                verdict[j] = None
+                chain.append(j)
+                j = e[2] + e[0]
+            else:
+                loops = verdict[j] is not False
+            for j in chain:
+                verdict[j] = loops
+        for j, loops in verdict.items():
+            if loops:
+                prog[j] = (prog[j][0], 0, _LOOP)
+        return tuple(prog)
 
     def canonical(self) -> "MachineTable":
         """Same rules sorted by (state, symbol); used for order-insensitive comparison."""
@@ -88,21 +123,13 @@ def trivial_machine() -> MachineTable:
     return MachineTable(())
 
 
-@dataclass(frozen=True)
-class Configuration:
-    tape: dict  # cell -> '0' | '1'; absent cells are blank
-    head: int
-    state: int
-    steps: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Halted:
     output: str
     steps: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutOfFuel:
     steps: int
 
@@ -110,72 +137,64 @@ class OutOfFuel:
 RunResult = Union[Halted, OutOfFuel]
 
 
-def initial_config(table: MachineTable, word: str) -> Configuration:
-    tape = {i: c for i, c in enumerate(word)}
-    start = 1 if table.states >= 1 else 0
-    return Configuration(tape, 0, start, 0)
-
-
-def step(table: MachineTable, c: Configuration):
-    """One transition; returns ALREADY_HALTED when c is final."""
-    if c.state == 0:
-        return ALREADY_HALTED
-    sym = c.tape.get(c.head, BLANK)
-    rule = table.rule_map.get((c.state, sym))
-    if rule is None:
-        return Configuration(dict(c.tape), c.head, 0, c.steps + 1)
-    tape = dict(c.tape)
-    if rule.write == BLANK:
-        tape.pop(c.head, None)
-    else:
-        tape[c.head] = rule.write
-    return Configuration(tape, c.head + _DELTA[rule.move], rule.next_state, c.steps + 1)
-
-
-def output_word(c: Configuration) -> str:
-    """Maximal contiguous non-blank word containing the head cell; empty on blank."""
-    if c.state != 0:
-        raise NotHalted("machine is in state %d" % c.state)
-    return _word_at(c.tape, c.head)
-
-
-def _word_at(tape: dict, head: int) -> str:
-    if head not in tape:
-        return ""
-    lo = head
-    while lo - 1 in tape:
-        lo -= 1
-    hi = head
-    while hi + 1 in tape:
-        hi += 1
-    return "".join(tape[i] for i in range(lo, hi + 1))
-
-
 def run(table: MachineTable, word: str, fuel: int) -> RunResult:
-    """Fuel-bounded run; equivalent to iterating step from initial_config."""
+    """Run on a binary word for at most fuel steps.
+
+    The tape is a bytearray of symbol codes whose blank padding doubles on
+    the side the head reaches.  Between two checks of fuel and tape ends the
+    loop runs as many steps as can neither exhaust the fuel nor pass an end.
+    A head-still loop, marked in the compiled program, answers OutOfFuel at
+    once: such a run never halts.  Negative fuel, or a word with a character
+    other than 0 and 1, is a ValueError."""
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
-    tape = {i: c for i, c in enumerate(word)}
-    head = 0
-    state = 1 if table.states >= 1 else 0
+    if word.strip("01"):
+        raise ValueError("input word must be over {0,1}: %r" % word)
+    prog = table.program
+    tape = bytearray(_PAD)
+    tape += word.encode().translate(_TO_CODES)
+    tape += _PAD
+    head = len(_PAD)
+    i = 3 if table.states >= 1 else 0  # row offset of the current state
     steps = 0
-    rules = table.rule_map
-    while state != 0:
-        if steps >= fuel:
-            return OutOfFuel(fuel)
-        rule = rules.get((state, tape.get(head, BLANK)))
-        if rule is None:
-            state = 0
-            steps += 1
+    while i:
+        k = min(head, len(tape) - 1 - head)
+        if not k:  # at an end: double the tape on that side
+            size = len(tape)
+            if head:
+                tape += b"\2" * size
+            else:
+                tape[:0] = b"\2" * size
+                head = size
             continue
-        if rule.write == BLANK:
-            tape.pop(head, None)
+        k = min(k, fuel - steps)
+        if not k:
+            return OutOfFuel(fuel)
+        for n in range(k):
+            e = prog[i + tape[head]]
+            if e is None:
+                break
+            tape[head], d, i = e
+            head += d
         else:
-            tape[head] = rule.write
-        head += _DELTA[rule.move]
-        state = rule.next_state
-        steps += 1
+            steps += k
+            continue
+        if i == _LOOP:
+            return OutOfFuel(fuel)
+        steps += n + 1 if i else n  # a missing rule takes one step to state 0
+        break
     return Halted(_word_at(tape, head), steps)
+
+
+def _word_at(tape: bytearray, head: int) -> str:
+    """Maximal contiguous non-blank word containing the head cell; empty on blank."""
+    if tape[head] == 2:
+        return ""
+    lo = tape.rfind(2, 0, head) + 1
+    hi = tape.find(2, head)
+    if hi < 0:
+        hi = len(tape)
+    return tape[lo:hi].translate(_FROM_CODES).decode()
 
 
 def parse_tm_text(text: str) -> MachineTable:

@@ -282,6 +282,25 @@ def test_negative_amounts_are_usage_errors(argv, capsys):
     assert "error:" in got.err and "must be >= 0" in got.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ord-eval", "2", "-3"],
+    ["ord-fs", "w", "-1"],
+    ["tm-decode", "-7"],
+    ["sat-verify", "-2"],
+    ["sat-verify", "--x", "-1", "--y", "0"],
+    ["sat-solve", "-4"],
+    ["fna-search", "-5"],
+    ["qfam-build", "1", "-1", "--no-registry"],
+    ["qfam-stride", "1", "-2", "--no-registry"],
+    ["qfam-peaks", "1", "3", "--width", "-1", "--no-registry"],
+])
+def test_negative_positions_are_usage_errors(argv, capsys):
+    assert cli.main(argv) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert "error:" in got.err and "must be >= 0" in got.err
+
+
 def test_negative_budget_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("CLOCKWORK_BUDGET", "-3")
     assert cli.main(["fna-search", "0"]) == 1

@@ -1,4 +1,5 @@
-"""Machine model: stepping, running, output convention, table text."""
+"""Machine model: stepping, running, output convention, table text, and
+the run kernel against the step oracle in tm_oracle."""
 
 import random
 
@@ -6,20 +7,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_words, random_table
-from tmlab.machines import (
+from tm_oracle import (
     ALREADY_HALTED,
     Configuration,
+    NotHalted,
+    initial_config,
+    iterate,
+    output_word,
+    step,
+)
+from tmlab.machines import (
     Halted,
     InvalidTable,
     MachineTable,
     OutOfFuel,
     Rule,
     format_tm_text,
-    initial_config,
-    output_word,
     parse_tm_text,
     run,
-    step,
     trivial_machine,
 )
 
@@ -78,7 +83,6 @@ def test_output_word_picks_word_under_head_only():
 
 
 def test_output_word_requires_halt():
-    from tmlab.machines import NotHalted
     with pytest.raises(NotHalted):
         output_word(Configuration({}, 0, 2, 0))
 
@@ -138,3 +142,92 @@ def test_determinism_and_fuel_laws(seed, word_value, fuel):
         assert "_" not in first.output
     else:
         assert first == OutOfFuel(fuel)
+
+
+def test_run_rejects_non_binary_words():
+    t = parse_tm_text("1 0 1 0 R\n")
+    for word in ("0_1", "_", "012", "1 0"):
+        with pytest.raises(ValueError):
+            run(t, word, 10)
+
+
+# --- the run kernel against the step oracle -----------------------------------
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 30), st.text("01", max_size=12), st.integers(0, 3000))
+def test_run_agrees_with_step_oracle(seed, w, fuel):
+    t = random_table(random.Random(seed), max_states=6)
+    want = iterate(t, w, fuel)
+    assert run(t, w, fuel) == want
+    if isinstance(want, Halted):  # the fuel edge around the halting step
+        s = want.steps
+        if s:
+            assert run(t, w, s - 1) == OutOfFuel(s - 1)
+        assert run(t, w, s) == want
+        assert run(t, w, s + 1) == want
+
+
+def _walker(right, left):
+    """Writes 1 on `right` cells going right from cell 0, then writes 0 on
+    `left` cells going left, steps back onto the last cell written and halts
+    there, so the output is the whole block written."""
+    rules = [Rule(q, a, q + 1, "1", "R") for q in range(1, right + 1) for a in "01_"]
+    rules += [Rule(q, a, q + 1, "0", "L")
+              for q in range(right + 1, right + left + 1) for a in "01_"]
+    back = right + left + 1
+    rules += [Rule(back, a, back + 1, a, "R" if left else "L") for a in "01_"]
+    return MachineTable(tuple(rules))
+
+
+@pytest.mark.parametrize("right, left, word", [
+    (100, 300, ""), (150, 160, "1011"), (0, 90, "11"), (90, 0, "0"),
+])
+def test_run_grows_the_tape_past_both_ends(right, left, word):
+    t = _walker(right, left)
+    got = run(t, word, 10 ** 4)
+    assert got == iterate(t, word, 10 ** 4)
+    assert got.steps == right + left + 2
+
+
+FLIPPER = MachineTable((Rule(1, "0", 1, "1", "N"), Rule(1, "1", 1, "0", "N"),
+                        Rule(1, "_", 1, "0", "N")))
+# (1, _) -> (2, 1) -> (1, _); the rules on 0 and 1 lead into the cycle
+TWO_STATE_CYCLE = MachineTable((Rule(1, "_", 2, "1", "N"), Rule(2, "1", 1, "_", "N"),
+                                Rule(1, "0", 1, "_", "N"), Rule(1, "1", 1, "0", "N")))
+
+
+@pytest.mark.parametrize("table", [FLIPPER, TWO_STATE_CYCLE])
+@pytest.mark.parametrize("word", ["", "0", "10"])
+@pytest.mark.parametrize("fuel", [0, 1, 10 ** 6])
+def test_head_still_loops_run_out_of_any_fuel(table, word, fuel):
+    assert run(table, word, fuel) == iterate(table, word, fuel, cycles=True) == OutOfFuel(fuel)
+
+
+def test_head_still_chain_that_halts_is_not_a_loop():
+    chain = MachineTable((Rule(1, "0", 2, "1", "N"), Rule(2, "1", 3, "0", "N"),
+                          Rule(3, "0", 4, "1", "N"), Rule(4, "1", 0, "1", "N")))
+    assert run(chain, "0", 10) == iterate(chain, "0", 10) == Halted("1", 4)
+    assert run(chain, "0", 3) == OutOfFuel(3)
+    # the same chain ending in a missing rule, and in a move that leaves
+    missing = MachineTable(chain.rules[:3])
+    assert run(missing, "01", 10) == iterate(missing, "01", 10) == Halted("11", 4)
+    leaves = MachineTable(chain.rules[:3] + (Rule(4, "1", 1, "1", "R"),))
+    assert run(leaves, "0", 10 ** 3) == iterate(leaves, "0", 10 ** 3)
+
+
+BOUNCER = MachineTable(tuple(Rule(*r) for r in (
+    (1, "1", 2, "_", "R"), (1, "_", 0, "_", "N"),
+    (2, "1", 2, "1", "R"), (2, "_", 3, "_", "L"),
+    (3, "1", 4, "_", "L"), (3, "_", 0, "_", "N"),
+    (4, "1", 4, "1", "L"), (4, "_", 1, "_", "R"),
+)))
+
+
+def test_bouncer_closed_form():
+    """Passing over a block of m ones costs m + 1 steps; one more step halts
+    on the empty block."""
+    n = 50
+    steps = sum(m + 1 for m in range(1, n + 1)) + 1
+    assert run(BOUNCER, "1" * n, 10 ** 6) == Halted("", steps)
+    assert run(BOUNCER, "1" * n, steps - 1) == OutOfFuel(steps - 1)
+    assert iterate(BOUNCER, "1" * n, 10 ** 6) == Halted("", steps)
