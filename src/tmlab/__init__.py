@@ -73,12 +73,10 @@ from .sat import (
     verify,
 )
 from .families import (
-    BuildFuelExhausted,
     BuildOverflow,
     PeakResult,
     QSpec,
     StrideReport,
-    build_PGH,
     build_Q,
     build_q_table,
     clock_stride_analysis,

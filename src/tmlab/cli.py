@@ -24,7 +24,6 @@ from .clocks import (
 )
 from .codec import ClockedTable, InvalidPair, decode_index, encode_table
 from .families import (
-    BuildFuelExhausted,
     BuildOverflow,
     build_Q,
     clock_stride_analysis,
@@ -428,8 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="pointwise comparison certificate on a window")
     p.add_argument("f", help="fgh:ORD[@poly:...], eps0[@poly:...], table:v0,...")
     p.add_argument("g")
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
+    p.add_argument("--lo", type=_natural, required=True)
+    p.add_argument("--hi", type=_natural, required=True)
     p.add_argument("--budget", type=_natural)
     p.set_defaults(handler=_cmd_dominate)
 
@@ -469,7 +468,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ValueError, ParseError, NotLimit, MalformedCnf, InvalidTable,
-            InvalidPair, BuildFuelExhausted, OSError) as err:
+            InvalidPair, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
 

@@ -6,23 +6,23 @@ and answers "0".  The lookup is a prefix trie over the in-range words (that
 position range is prefix-closed), so an in-range run costs |w| + max(1, |out|)
 steps and an out-of-range run costs |w| + 1.
 
-build_PGH wires an arbitrary measured machine behind such a table; build_Q
-wires the brute-force satisfiability solver behind a threshold drawn from the
-fast-growing hierarchy, which is what makes the family's bounding clocks climb
-that hierarchy while each member stays a plain finite table.
+build_Q wires the brute-force satisfiability solver behind a threshold drawn
+from the fast-growing hierarchy, which is what makes the family's bounding
+clocks climb that hierarchy while each member stays a plain finite table.
+Each call builds its member once: one table, validated and compiled once by
+the self-check that runs every in-range position.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .clocks import DEFAULT_EVAL_BUDGET, BudgetExceeded, ClockedMachine, Parametrized, PlainPoly
-from .codec import clock_index, encode_table, family_index, sigma_embed
-from .hierarchy import FnDescriptor, Overflow, fgh_eval, fn_eval
-from .machines import BLANK, Halted, MachineTable, Rule, run
-from .ordinals import OrdinalCNF
+from . import codec
+from .clocks import DEFAULT_EVAL_BUDGET, BudgetExceeded, ClockedMachine, Parametrized
+from .codec import ClockedTable, clock_index, family_index, sigma_embed
+from .machines import BLANK, Halted, MachineTable, Rule, run, trivial_machine
 from .registry import FRegistry, register
-from .sat import Found, f_neg_A, solve_E
-from .words import index_word, pair, proj1, word_index
+from .sat import Found, runner_for, scan, solve_E
+from .words import index_word, pair, proj1
 
 DESK_THRESHOLD_BOUND = 1 << 12  # largest table we agree to materialize
 
@@ -31,19 +31,10 @@ class BuildOverflow(Exception):
     """The requested threshold cannot be materialized at desk scale."""
 
 
-class BuildFuelExhausted(Exception):
-    """The measured machine ran out of fuel on an in-range input."""
-
-
 @dataclass(frozen=True)
 class DispatchTable(MachineTable):
     threshold: int = 0  # in-range positions are 0..threshold
-    worst_steps: int = 0  # measured over in-range inputs
-
-
-@dataclass(frozen=True)
-class PghTable(DispatchTable):
-    clock: PlainPoly = PlainPoly(1)  # smallest honest polynomial envelope
+    worst_steps: int = 0  # over in-range inputs, pinned by the self-check
 
 
 @dataclass(frozen=True)
@@ -85,8 +76,9 @@ class PeakResult:
 
 def _dispatch_rules(outputs) -> tuple:
     """Trie rules for the answer list outputs[0..T].  Node state for position
-    x is 1 + x; T + 2 is the erase-and-default state; answer-writing chains
-    for multi-char outputs are shared per distinct output and sit above."""
+    x is 1 + x, and its children "0" and "1" are positions 2x + 1 and 2x + 2;
+    T + 2 is the erase-and-default state; answer-writing chains for
+    multi-char outputs are shared per distinct output and sit above."""
     t = len(outputs) - 1
     out_state = t + 2
     rules = []
@@ -107,14 +99,11 @@ def _dispatch_rules(outputs) -> tuple:
                                         word[j], "N" if last else "R"))
         return chains[word]
 
-    for x in range(t + 1):
-        w = index_word(x)
+    for x, answer in enumerate(outputs):
         node = 1 + x
-        for c in "01":
-            x2 = word_index(w + c)
-            target = 1 + x2 if x2 <= t else out_state
-            rules.append(Rule(node, c, target, BLANK, "R"))
-        answer = outputs[x]
+        zero, one = 2 * x + 1, 2 * x + 2
+        rules.append(Rule(node, "0", 1 + zero if zero <= t else out_state, BLANK, "R"))
+        rules.append(Rule(node, "1", 1 + one if one <= t else out_state, BLANK, "R"))
         if answer == "":
             rules.append(Rule(node, BLANK, 0, BLANK, "N"))
         elif len(answer) == 1:
@@ -127,48 +116,13 @@ def _dispatch_rules(outputs) -> tuple:
     return tuple(rules + chain_rules)
 
 
-def _measure(rules: tuple, outputs) -> int:
-    """Check each in-range answer by running and return the worst step count."""
-    probe = MachineTable(rules)
-    worst = 0
+def _measure(table: MachineTable, outputs, needs) -> None:
+    """Self-check: every in-range position halts with its answer in exactly
+    its step count.  Compiles the table's program for later runs."""
     for x, expected in enumerate(outputs):
-        w = index_word(x)
-        got = run(probe, w, 4 * len(w) + 4 * len(expected) + 8)
-        assert isinstance(got, Halted) and got.output == expected, \
+        need = needs[x]
+        assert run(table, index_word(x), need) == Halted(expected, need), \
             "dispatch self-check failed at position %d" % x
-        worst = max(worst, got.steps)
-    return worst
-
-
-def build_PGH(machine: MachineTable, bound_fn: FnDescriptor, n: int,
-              corpus_bound: int = DESK_THRESHOLD_BOUND,
-              fuel: int = 10 ** 6,
-              eval_budget: int = DEFAULT_EVAL_BUDGET,
-              registry: Optional[FRegistry] = None) -> PghTable:
-    """Dispatch table answering like `machine` for all positions up to the
-    bound function's value at n, with the smallest honest polynomial clock."""
-    threshold = fn_eval(bound_fn, n, eval_budget)
-    if threshold is None or threshold > corpus_bound:
-        raise BuildOverflow("threshold at n=%d is out of desk reach" % n)
-    outputs = []
-    for x in range(threshold + 1):
-        got = run(machine, index_word(x), fuel)
-        if not isinstance(got, Halted):
-            raise BuildFuelExhausted("measured machine out of fuel at position %d" % x)
-        outputs.append(got.output)
-    rules = _dispatch_rules(outputs)
-    worst = _measure(rules, outputs)
-    exponent = 1
-    while any(len(index_word(x)) ** exponent + exponent
-              < len(index_word(x)) + max(1, len(out))
-              for x, out in enumerate(outputs)):
-        exponent += 1
-        if exponent > 64:
-            raise BuildOverflow("no small polynomial envelope fits")
-    table = PghTable(rules, threshold=threshold, worst_steps=worst,
-                     clock=PlainPoly(exponent))
-    register(encode_table(table), registry)
-    return table
 
 
 def build_q_table(alpha, n: int, width: int = 16,
@@ -182,17 +136,19 @@ def build_q_table(alpha, n: int, width: int = 16,
         raise BuildOverflow("threshold F_alpha(%d) = %d is out of desk reach"
                             % (n, threshold))
     outputs = [index_word(solve_E(x)) for x in range(threshold + 1)]
-    rules = _dispatch_rules(outputs)
-    worst = _measure(rules, outputs)
+    needs = []  # in-range step counts: |w| + max(1, |out|)
     for x, out in enumerate(outputs):
-        length = len(index_word(x))
+        length = (x + 1).bit_length() - 1  # |index_word(x)|
         need = length + max(1, len(out))
         # length ** threshold >= 0, so need <= threshold already fits the
         # clock without computing that power
         assert need <= threshold or need <= length ** threshold + threshold, \
             "in-range run exceeds the family clock at %d" % x
-    return QTable(rules, threshold=threshold, worst_steps=worst,
-                  alpha=alpha, n=n, width=width)
+        needs.append(need)
+    table = QTable(_dispatch_rules(outputs), threshold=threshold,
+                   worst_steps=max(needs), alpha=alpha, n=n, width=width)
+    _measure(table, outputs, needs)
+    return table
 
 
 def build_Q(alpha, n: int, width: int = 16,
@@ -246,6 +202,13 @@ def peak_probe(alpha, n: int, width: int = 16,
     table, _, spec = build_Q(alpha, n, width, registry=registry)
     sigma = sigma_embed(ClockedMachine(table, Parametrized(alpha, n, width)))
     register(sigma, registry)
-    outcome = f_neg_A(sigma, budget, fuel)
+    # search the member just built, as decode_index(sigma) would produce it:
+    # the same table under the clock materialized at the decoder's budget
+    try:
+        decoded = ClockedTable(table, Parametrized(
+            alpha, n, width, eval_budget=codec.DECODE_EVAL_BUDGET))
+    except BudgetExceeded:
+        decoded = trivial_machine()  # the decoder's fallback for that clock
+    outcome = scan(runner_for(decoded, sigma, fuel), budget)
     first = proj1(outcome.witness) if isinstance(outcome, Found) else None
     return PeakResult(sigma, outcome, spec.threshold, first)

@@ -245,9 +245,12 @@ def dominates_on_window(f_desc: FnDescriptor, g_desc: FnDescriptor,
     """Pointwise f(x) >= g(x) certificate over the finite window [lo, hi].
 
     Holds is a window certificate only; the relation proper quantifies over an
-    unbounded tail and is not decided here.
+    unbounded tail and is not decided here.  A window that starts below 0 or
+    ends before it starts is a ValueError.
     """
     lo, hi = window
+    if not 0 <= lo <= hi:
+        raise ValueError("window [%d, %d] must have 0 <= lo <= hi" % (lo, hi))
     for x in range(lo, hi + 1):
         g = fn_eval(g_desc, x, budget)
         if g is None:

@@ -8,6 +8,10 @@ Text syntax: `0`, `3`, `w`, `w*5`, `w^w`, `w^(w+1)*2`, `w^w+w*3+2`.
 from dataclasses import dataclass
 
 LESS, EQUAL, GREATER = -1, 0, 1
+# Deepest w^ tower and parenthesis nesting ord_parse accepts; deeper text is
+# a ParseError, well before the recursive parser and the functions on the
+# parsed ordinal reach the interpreter's recursion limit.
+MAX_NESTING = 256
 
 
 class ParseError(ValueError):
@@ -180,6 +184,13 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text.replace(" ", "")
         self.pos = 0
+        self.depth = 0  # open w^ towers and parentheses
+
+    def nest(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("ordinal text nests deeper than %d at %d"
+                             % (MAX_NESTING, self.pos))
 
     def peek(self):
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -217,12 +228,17 @@ class _Parser:
             self.take("w")
             if self.peek() == "^":
                 self.take("^")
-                return omega_power(self.pow())  # right-associative towers
+                self.nest()
+                v = omega_power(self.pow())  # right-associative towers
+                self.depth -= 1
+                return v
             return OMEGA
         if c == "(":
             self.take("(")
+            self.nest()
             v = self.sum()
             self.take(")")
+            self.depth -= 1
             return v
         if c.isdigit():
             return from_nat(self.nat())

@@ -9,17 +9,18 @@ answer on malformed words).  f_neg_A hunts for a position z where a candidate
 solver's answer fails a satisfiable formula.
 """
 
+import re
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Optional, Union
 
 from .clocks import ClockedMachine, clocked_run
 from .codec import ClockedTable, decode_index, is_sigma_image
-from .machines import MachineTable, OutOfFuel, run
+from .machines import OutOfFuel, run
 from .registry import registered
 from .words import index_word, pair, proj1, unpair, word_index
 
 DEFAULT_FUEL = 10 ** 6
+_RUNS = re.compile("0+|1+")  # the maximal runs of a word
 
 
 class MalformedCnf(ValueError):
@@ -104,10 +105,10 @@ def decode_cnf(word: str) -> CnfFormula:
         if len(word) <= 2:
             return EMPTY_FORMULA
         raise MalformedCnf("over-long empty coding")
-    runs = [(ch, len(list(grp))) for ch, grp in groupby(word)]
-    if runs[0][0] != "0":
+    if word[0] == "1":
         raise MalformedCnf("missing polarity prefix")
-    lead = runs[0][1]
+    runs = list(map(len, _RUNS.findall(word)))  # alternating, a 0-run first
+    lead = runs[0]
     if lead > 2:
         raise MalformedCnf("over-long polarity prefix")
     positive = lead == 1
@@ -115,12 +116,12 @@ def decode_cnf(word: str) -> CnfFormula:
     clause = []
     i = 1
     while i < len(runs):
-        var = runs[i][1]  # a 1-run
+        var = runs[i]  # a 1-run
         clause.append((var, positive))
         i += 1
         if i == len(runs):
             break  # no trailing zeros: fine
-        gap = runs[i][1]
+        gap = runs[i]
         i += 1
         if i == len(runs):
             if gap > 1:
@@ -248,7 +249,11 @@ def solve_E(x: int) -> int:
 def _as_runner(m: int, fuel: int):
     """Resolve index m to a word->word function.  Clocked pairs run under
     their own clock (total); plain tables run fuel-bounded."""
-    decoded = decode_index(m)
+    return runner_for(decode_index(m), m, fuel)
+
+
+def runner_for(decoded, m: int, fuel: int):
+    """The word->word function of decode_index(m)'s result `decoded`."""
     if isinstance(decoded, ClockedTable):
         p = ClockedMachine(decoded.machine, decoded.clock)
 
@@ -285,9 +290,13 @@ def f_neg_A(m: int, budget: int, fuel: int = DEFAULT_FUEL) -> SearchOutcome:
     Each formula word is decoded once per scan, and m is consulted once per
     formula, at the first z that verifies for it; that verdict is reused for
     the later z on the same formula."""
-    runner = _as_runner(m, fuel)
+    return scan(_as_runner(m, fuel), budget)
+
+
+def scan(runner, budget: int) -> SearchOutcome:
+    """f_neg_A's scan over the word->word function of a resolved index."""
     formulas = {}  # x -> formula of index_word(x), None when malformed
-    fails = {}  # x -> whether m's answer on x fails that formula
+    fails = {}  # x -> whether the answer on x fails that formula
     base = 0  # z = base + y walks the diagonal x + y = s
     s = 0
     while base < budget:

@@ -16,11 +16,7 @@ def index_word(i: int) -> str:
     """Word at position i of the canonical enumeration."""
     if i < 0:
         raise ValueError("word position must be >= 0")
-    length = (i + 1).bit_length() - 1
-    if length == 0:
-        return ""
-    value = i + 1 - (1 << length)
-    return format(value, "b").zfill(length)
+    return bin(i + 1)[3:]  # i + 1 = 2^L + v: drop the "0b1" in front of v's L bits
 
 
 def word_index(w: str) -> int:

@@ -187,6 +187,31 @@ def test_dominate(capsys):
     assert recs[1]["outcome"] == {"kind": "fails-at", "x": 3}
 
 
+@pytest.mark.parametrize("window, message", [
+    (("-3", "2"), "must be >= 0"),
+    (("5", "2"), "0 <= lo <= hi"),
+])
+def test_dominate_bad_window_is_usage_error(window, message, capsys):
+    lo, hi = window
+    assert cli.main(["dominate", "fgh:2", "fgh:1", "--lo", lo, "--hi", hi]) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert "error:" in got.err and message in got.err
+
+
+def test_deep_ordinal_text_is_usage_error(capsys):
+    assert cli.main(["ord-eval", "w^" * 1200 + "1", "2"]) == 1
+    assert cli.main(["ord-eval", "(" * 1200 + "1" + ")" * 1200, "2"]) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.count("error: ordinal text nests deeper than 256") == 2
+    # the deepest accepted text still answers
+    assert cli.main(["ord-eval", "w^" * 256 + "1", "2", "--budget", "100"]) == 0
+    assert cli.main(["ord-eval", "(" * 256 + "1" + ")" * 256, "2"]) == 0
+    assert [r["outcome"] for r in records(capsys)] == [{"kind": "overflow", "budget": 100},
+                                                       {"kind": "value", "value": 4}]
+
+
 def test_qfam_build_overflow(capsys):
     assert cli.main(["qfam-build", "1", "3000", "--no-registry"]) == 0
     (rec,) = records(capsys)

@@ -8,15 +8,14 @@ from pathlib import Path
 import pytest
 
 import tmlab
-from tmlab import registry
-from tmlab.clocks import BudgetExceeded, Parametrized, PlainPoly
-from tmlab.codec import clock_index, encode_table, family_index
+from tmlab import codec, families, registry
+from tmlab.clocks import BudgetExceeded, ClockedMachine, Parametrized
+from tmlab.codec import clock_index, decode_index, family_index, sigma_embed
 from tmlab.families import (
-    BuildFuelExhausted,
     BuildOverflow,
-    PghTable,
+    PeakResult,
     QSpec,
-    build_PGH,
+    _dispatch_rules,
     build_Q,
     build_q_table,
     clock_stride_analysis,
@@ -25,12 +24,11 @@ from tmlab.families import (
     peak_probe,
     stride_analysis,
 )
-from tmlab.hierarchy import FghFn, TableFn
-from tmlab.machines import Halted, MachineTable, Rule, run, trivial_machine
+from tmlab.machines import BLANK, Halted, Rule, run, trivial_machine
 from tmlab.ordinals import ord_parse
-from tmlab.registry import FRegistry
-from tmlab.sat import Exhausted, Found, solve_E
-from tmlab.words import index_word
+from tmlab.registry import FRegistry, register
+from tmlab.sat import Exhausted, Found, f_neg_A, solve_E
+from tmlab.words import index_word, proj1, word_index
 
 ORD1 = ord_parse("1")
 ORD2 = ord_parse("2")
@@ -85,31 +83,6 @@ def test_build_q_registers_family_word():
     assert godel in registry.members()
 
 
-def test_pgh_wraps_a_measured_machine():
-    table = build_PGH(trivial_machine(), TableFn((2, 5)), 0)
-    assert isinstance(table, PghTable)
-    assert table.threshold == 2 and table.clock == PlainPoly(1)
-    for x in range(3):
-        w = index_word(x)
-        assert run(table, w, 100) == Halted(w, len(w) + max(1, len(w)))
-    assert run(table, "111", 100).output == "0"
-    assert encode_table(table) in registry.members()
-
-
-def test_pgh_fuel_exhausted():
-    loop = MachineTable((Rule(1, "1", 1, "1", "N"),))
-    with pytest.raises(BuildFuelExhausted):
-        build_PGH(loop, TableFn((2,)), 0, fuel=100)
-
-
-def test_pgh_overflow_paths():
-    with pytest.raises(BuildOverflow):
-        build_PGH(trivial_machine(), TableFn((9999,)), 0)
-    with pytest.raises(BuildOverflow):
-        build_PGH(trivial_machine(), FghFn(ord_parse("3")), 8,
-                  eval_budget=10 ** 4)  # bound value not evaluable
-
-
 def test_family_stride_is_exact():
     report = stride_analysis(ORD1, range(5))
     assert report.stride == 1 << 14
@@ -153,6 +126,90 @@ def test_peak_probe_exhausts_under_small_budget():
     probe = peak_probe(ORD1, 2, budget=50)
     assert probe.outcome == Exhausted(50)
     assert probe.first_coord is None
+
+
+def _old_peak_probe(alpha, n, budget):
+    """Reference for peak_probe: build, embed, then search the sigma index
+    through the decoder, which builds the member a second time."""
+    table, _, spec = build_Q(alpha, n)
+    sigma = sigma_embed(ClockedMachine(table, Parametrized(alpha, n, 16)))
+    register(sigma)
+    outcome = f_neg_A(sigma, budget)
+    first = proj1(outcome.witness) if isinstance(outcome, Found) else None
+    return PeakResult(sigma, outcome, spec.threshold, first)
+
+
+PROBED = ([(ORD1, n) for n in range(41)] + [(ORD2, n) for n in range(12)]
+          + [(ord_parse("w"), n) for n in range(4)])
+
+
+@pytest.mark.parametrize("decode_budget", [None, 0])
+def test_peak_probe_matches_decoding_the_sigma_word(decode_budget, monkeypatch):
+    if decode_budget is not None:
+        # the decoder cannot materialize the clock: the sigma word decodes
+        # to the trivial machine, and peak_probe must search that one
+        monkeypatch.setattr(codec, "DECODE_EVAL_BUDGET", decode_budget)
+    outcomes = set()
+    for alpha, n in PROBED:
+        got = peak_probe(alpha, n)
+        assert got == _old_peak_probe(alpha, n, 10 ** 4), (alpha, n)
+        fallback = decode_index(got.sigma_index) == trivial_machine()
+        assert fallback == (decode_budget is not None)
+        outcomes.add(type(got.outcome))
+    assert outcomes == ({Found, Exhausted} if decode_budget is None else {Found})
+
+
+def test_peak_probe_builds_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_q_table(*args, **kwargs)
+
+    monkeypatch.setattr(families, "build_q_table", counting)
+    peak_probe(ORD1, 3)
+    assert calls == [(ORD1, 3, 16, 10 ** 6, 1 << 12)]
+    calls.clear()
+    f_neg_A(sigma_embed(ClockedMachine(build_q_table(ORD1, 3), Parametrized(ORD1, 3))), 10)
+    assert len(calls) == 1  # the decoder still builds the member it decodes
+
+
+def _reference_trie(outputs):
+    """Reference for _dispatch_rules: each node's children are found by
+    appending a character to its word."""
+    t = len(outputs) - 1
+    out_state = t + 2
+    rules, chain_rules, chains = [], [], {}
+    next_free = t + 3
+    for x in range(t + 1):
+        w = index_word(x)
+        for c in "01":
+            x2 = word_index(w + c)
+            rules.append(Rule(1 + x, c, 1 + x2 if x2 <= t else out_state, BLANK, "R"))
+        answer = outputs[x]
+        if len(answer) <= 1:
+            rules.append(Rule(1 + x, BLANK, 0, answer or BLANK, "N"))
+            continue
+        if answer not in chains:
+            chains[answer] = next_free
+            for j in range(1, len(answer)):
+                last = j == len(answer) - 1
+                chain_rules.append(Rule(next_free + j - 1, BLANK, 0 if last else next_free + j,
+                                        answer[j], "N" if last else "R"))
+            next_free += len(answer) - 1
+        rules.append(Rule(1 + x, BLANK, chains[answer], answer[0], "R"))
+    rules += [Rule(out_state, "0", out_state, BLANK, "R"),
+              Rule(out_state, "1", out_state, BLANK, "R"),
+              Rule(out_state, BLANK, 0, "0", "N")]
+    return tuple(rules + chain_rules)
+
+
+def test_dispatch_rules_match_reference_trie():
+    solver = [index_word(solve_E(x)) for x in range(2048)]
+    mixed = [index_word((7 * x) % 97) for x in range(2048)]  # outputs up to 6 characters
+    for t in list(range(301)) + [2047]:
+        for outputs in (solver[:t + 1], mixed[:t + 1]):
+            assert _dispatch_rules(outputs) == _reference_trie(outputs), t
 
 
 def test_file_registry_roundtrip(tmp_path):

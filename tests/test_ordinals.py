@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tmlab.ordinals import (
     GREATER,
     LESS,
+    MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
@@ -54,6 +55,20 @@ def test_parse_tower_is_right_associative():
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ParseError):
         ord_parse(bad)
+
+
+def test_parse_bounds_nesting_depth():
+    deepest = "w^" * (MAX_NESTING - 1) + "(" + "1" + ")"
+    tower = ord_parse(deepest)
+    for _ in range(MAX_NESTING - 1):
+        tower = tower.terms[0][0]
+    assert tower == ONE
+    for text in ["w^" * MAX_NESTING + "(1)", "(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1),
+                 "w^(" * (MAX_NESTING // 2) + "w^1" + ")" * (MAX_NESTING // 2)]:
+        with pytest.raises(ParseError, match="nests deeper"):
+            ord_parse(text)
+    # depth is nesting, not length: siblings at the same depth do not add up
+    assert ord_parse("+".join(["(w^w^2)"] * 400)) == ord_parse("w^w^2*400")
 
 
 def test_nat_embedding():

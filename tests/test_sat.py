@@ -1,7 +1,7 @@
 """CNF word coding, the pair checker, the brute solver, and the failure scan."""
 
 import random
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 
@@ -103,6 +103,63 @@ def test_decode_then_encode_normalizes():
         except MalformedCnf:
             continue
         assert decode_cnf(encode_cnf(f)) == f
+
+
+def _groupby_decode_cnf(word):
+    """Reference for decode_cnf, over groupby runs."""
+    if "1" not in word:
+        if len(word) <= 2:
+            return EMPTY_FORMULA
+        raise MalformedCnf("over-long empty coding")
+    runs = [(ch, len(list(grp))) for ch, grp in groupby(word)]
+    if runs[0][0] != "0":
+        raise MalformedCnf("missing polarity prefix")
+    if runs[0][1] > 2:
+        raise MalformedCnf("over-long polarity prefix")
+    positive = runs[0][1] == 1
+    clauses, clause = [], []
+    i = 1
+    while i < len(runs):
+        clause.append((runs[i][1], positive))
+        i += 1
+        if i == len(runs):
+            break
+        gap = runs[i][1]
+        i += 1
+        if i == len(runs):
+            if gap > 1:
+                raise MalformedCnf("over-long trailing zeros")
+            break
+        if gap in (1, 2):
+            positive = gap == 1
+        elif gap in (3, 4):
+            clauses.append(tuple(clause))
+            clause = []
+            positive = gap == 3
+        else:
+            raise MalformedCnf("separator run of length %d" % gap)
+    clauses.append(tuple(clause))
+    return CnfFormula(tuple(clauses), max(var for cl in clauses for var, _ in cl))
+
+
+def _decoded_or_message(decoder, word):
+    try:
+        return decoder(word)
+    except MalformedCnf as err:
+        return str(err)
+
+
+def test_decode_cnf_matches_groupby_oracle():
+    messages = set()
+    for x in range((1 << 15) - 1):  # every word up to length 14
+        w = index_word(x)
+        got = _decoded_or_message(decode_cnf, w)
+        assert got == _decoded_or_message(_groupby_decode_cnf, w), w
+        if isinstance(got, str):
+            messages.add(got.split(" of length")[0])
+    assert messages == {"over-long empty coding", "missing polarity prefix",
+                        "over-long polarity prefix", "over-long trailing zeros",
+                        "separator run"}
 
 
 def test_verify_pins():
