@@ -2,9 +2,11 @@
 
 Every command prints one JSON record per result line with the fixed key order
 {command, inputs, outcome, cost}; --human renders the same record readably.
-Exit code 0 covers every computed outcome (including exhausted searches and
-overflow answers), 2 covers operational giving-up (out of fuel, undecided
-search), 1 covers unusable invocations.  The default search budget comes from
+Each handler yields one (inputs, outcome, cost) triple per record, and `main`
+alone builds, prints and picks the exit code: 2 when some outcome's kind is
+out-of-fuel or indeterminate (the command gave up before settling), else 0.
+Budget outcomes (overflow, unknown, budget-exceeded, exhausted) are answers
+and exit 0.  1 covers unusable invocations.  The default budget comes from
 CLOCKWORK_BUDGET when that is set.
 """
 
@@ -13,58 +15,19 @@ import json
 import os
 import sys
 
-from .clocks import (
-    BudgetExceeded,
-    ClockedMachine,
-    Parametrized,
-    clock_bound,
-    clocked_run,
-    format_clock,
-    parse_clock,
-)
+from .clocks import (BudgetExceeded, ClockedMachine, clock_bound, clocked_run,
+                     format_clock, parse_clock)
 from .codec import ClockedTable, InvalidPair, decode_index, encode_table
-from .families import (
-    BuildOverflow,
-    build_Q,
-    clock_stride_analysis,
-    differences,
-    p_index,
-    peak_probe,
-    stride_analysis,
-)
-from .hierarchy import (
-    Overflow,
-    Value,
-    FailsAt,
-    Holds,
-    Unknown,
-    dominates_on_window,
-    fgh_eval,
-    parse_fn_descriptor,
-)
+from .families import (BuildOverflow, build_Q, clock_stride_analysis, differences,
+                       p_index, peak_probe, stride_analysis)
+from .hierarchy import (FailsAt, Holds, Value, dominates_on_window, fgh_eval,
+                        parse_fn_descriptor)
 from .machines import Halted, InvalidTable, format_tm_text, parse_tm_text, run
-from .ordinals import (
-    NotLimit,
-    ParseError,
-    clock_index_ordinal,
-    fundamental_sequence,
-    ord_format,
-    ord_parse,
-)
+from .ordinals import (NotLimit, ParseError, clock_index_ordinal, fundamental_sequence,
+                       ord_format, ord_parse)
 from .registry import FRegistry
-from .sat import (
-    DEFAULT_FUEL,
-    Exhausted,
-    Found,
-    IndeterminateSearch,
-    MalformedCnf,
-    encode_cnf,
-    f_neg_A,
-    f_prime,
-    parse_dimacs,
-    solve_E,
-    verify_cost,
-)
+from .sat import (DEFAULT_FUEL, Found, IndeterminateSearch, MalformedCnf, encode_cnf,
+                  f_neg_A, f_prime, parse_dimacs, solve_E, verify_cost)
 from .words import index_word, pair, word_index
 
 DEFAULT_BUDGET = 10 ** 4
@@ -95,16 +58,6 @@ def _budget(args) -> int:
         raise ValueError("CLOCKWORK_BUDGET %s" % err)
 
 
-def _emit(args, command: str, inputs: dict, outcome: dict, cost: dict) -> None:
-    record = {"command": command, "inputs": inputs, "outcome": outcome, "cost": cost}
-    if args.human:
-        parts = ["%s=%s" % (k, v) for k, v in outcome.items()]
-        parts += ["%s=%s" % (k, v) for k, v in cost.items()]
-        print("%s: %s" % (command, " ".join(parts)))
-    else:
-        print(json.dumps(record))
-
-
 def _check_word(s: str) -> str:
     if s.strip("01"):
         raise ValueError("input word must be over {0,1}: %r" % s)
@@ -124,59 +77,51 @@ def _registry(args):
     return None if args.no_registry else FRegistry(args.registry)
 
 
-# --- handlers ----------------------------------------------------------------
+# --- handlers: each yields (inputs, outcome, cost) per record -----------------
 
-def _cmd_tm_run(args) -> int:
+def _cmd_tm_run(args):
     table = _load_table(args.file)
     word = _check_word(args.word)
     got = run(table, word, args.fuel)
-    inputs = {"file": args.file, "word": word, "fuel": args.fuel}
     if isinstance(got, Halted):
         outcome = {"kind": "halted", "output": got.output,
                    "position": word_index(got.output)}
-        _emit(args, "tm-run", inputs, outcome, {"steps": got.steps})
-        return 0
-    _emit(args, "tm-run", inputs, {"kind": "out-of-fuel"}, {"steps": got.steps})
-    return 2
-
-
-def _cmd_tm_encode(args) -> int:
-    table = _load_table(args.file)
-    index = encode_table(table)
-    _emit(args, "tm-encode", {"file": args.file}, {"index": index},
-          {"rules": len(table.rules)})
-    return 0
-
-
-def _cmd_tm_decode(args) -> int:
-    decoded = decode_index(args.index)
-    inputs = {"index": args.index}
-    if isinstance(decoded, ClockedTable):
-        outcome = {"kind": "clocked-pair", "clock": format_clock(decoded.clock),
-                   "rules": len(decoded.machine.rules),
-                   "text": format_tm_text(decoded.machine)}
     else:
-        outcome = {"kind": "table", "rules": len(decoded.rules),
-                   "text": format_tm_text(decoded)}
-    _emit(args, "tm-decode", inputs, outcome, {})
-    return 0
+        outcome = {"kind": "out-of-fuel"}
+    inputs = {"file": args.file, "word": word, "fuel": args.fuel}
+    yield inputs, outcome, {"steps": got.steps}
 
 
-def _cmd_clock_run(args) -> int:
+def _cmd_tm_encode(args):
+    table = _load_table(args.file)
+    yield {"file": args.file}, {"index": encode_table(table)}, {"rules": len(table.rules)}
+
+
+def _cmd_tm_decode(args):
+    decoded = decode_index(args.index)
+    if isinstance(decoded, ClockedTable):
+        outcome = {"kind": "clocked-pair", "clock": format_clock(decoded.clock)}
+        decoded = decoded.machine
+    else:
+        outcome = {"kind": "table"}
+    outcome.update(rules=len(decoded.rules), text=format_tm_text(decoded))
+    yield {"index": args.index}, outcome, {}
+
+
+def _cmd_clock_run(args):
     table = _load_table(args.file)
     word = _check_word(args.word)
     inputs = {"file": args.file, "word": word, "clock": args.clock}
     try:
         clock = parse_clock(args.clock)
     except BudgetExceeded:
-        _emit(args, "clock-run", inputs, {"kind": "budget-exceeded"}, {})
-        return 0
+        yield inputs, {"kind": "budget-exceeded"}, {}
+        return
     got = clocked_run(ClockedMachine(table, clock), word)
     outcome = {"kind": "ran", "output": got.output,
                "position": word_index(got.output), "cut": got.cut,
                "bound": clock_bound(clock, len(word))}
-    _emit(args, "clock-run", inputs, outcome, {"steps": got.steps})
-    return 0
+    yield inputs, outcome, {"steps": got.steps}
 
 
 def _sat_verify_z(args) -> int:
@@ -195,14 +140,13 @@ def _sat_verify_z(args) -> int:
     return pair(args.x, args.y)
 
 
-def _cmd_sat_verify(args) -> int:
+def _cmd_sat_verify(args):
     z = _sat_verify_z(args)
     bit, ops = verify_cost(z)
-    _emit(args, "sat-verify", {"z": z}, {"value": bit}, {"ops": ops})
-    return 0
+    yield {"z": z}, {"value": bit}, {"ops": ops}
 
 
-def _cmd_sat_solve(args) -> int:
+def _cmd_sat_solve(args):
     if args.dimacs:
         if args.x is not None:
             raise ValueError("give either X or --dimacs")
@@ -215,17 +159,10 @@ def _cmd_sat_solve(args) -> int:
     y = solve_E(x)
     outcome = {"y": y, "assignment": index_word(y),
                "witnessed": verify_cost(pair(x, y))[0] == 1}
-    _emit(args, "sat-solve", {"x": x}, outcome, {})
-    return 0
+    yield {"x": x}, outcome, {}
 
 
-def _search_outcome(got) -> dict:
-    if isinstance(got, Found):
-        return {"kind": "found", "witness": got.witness, "value": got.value}
-    return {"kind": "exhausted", "budget": got.budget}
-
-
-def _cmd_fna_search(args) -> int:
+def _cmd_fna_search(args):
     budget = _budget(args)
     inputs = {"machine": args.machine, "budget": budget, "fuel": args.fuel,
               "guarded": args.guarded}
@@ -235,13 +172,16 @@ def _cmd_fna_search(args) -> int:
         else:
             got = f_neg_A(args.machine, budget, args.fuel)
     except IndeterminateSearch as stop:
-        _emit(args, "fna-search", inputs, {"kind": "indeterminate", "z": stop.z}, {})
-        return 2
-    _emit(args, "fna-search", inputs, _search_outcome(got), {})
-    return 0
+        outcome = {"kind": "indeterminate", "z": stop.z}
+    else:
+        if isinstance(got, Found):
+            outcome = {"kind": "found", "witness": got.witness, "value": got.value}
+        else:
+            outcome = {"kind": "exhausted", "budget": got.budget}
+    yield inputs, outcome, {}
 
 
-def _cmd_ord_eval(args) -> int:
+def _cmd_ord_eval(args):
     alpha = _alpha_arg(args.alpha)
     budget = _budget(args)
     if alpha == "eps0":
@@ -249,21 +189,17 @@ def _cmd_ord_eval(args) -> int:
     got = fgh_eval(alpha, args.x, budget)
     inputs = {"alpha": args.alpha, "x": args.x, "budget": budget}
     if isinstance(got, Value):
-        _emit(args, "ord-eval", inputs, {"kind": "value", "value": got.value},
-              {"calls": got.cost})
+        yield inputs, {"kind": "value", "value": got.value}, {"calls": got.cost}
     else:
-        _emit(args, "ord-eval", inputs, {"kind": "overflow", "budget": got.budget}, {})
-    return 0
+        yield inputs, {"kind": "overflow", "budget": got.budget}, {}
 
 
-def _cmd_ord_fs(args) -> int:
+def _cmd_ord_fs(args):
     term = fundamental_sequence(ord_parse(args.alpha), args.x)
-    _emit(args, "ord-fs", {"alpha": args.alpha, "x": args.x},
-          {"ordinal": ord_format(term)}, {})
-    return 0
+    yield {"alpha": args.alpha, "x": args.x}, {"ordinal": ord_format(term)}, {}
 
 
-def _cmd_dominate(args) -> int:
+def _cmd_dominate(args):
     budget = _budget(args)
     f_desc = parse_fn_descriptor(args.f)
     g_desc = parse_fn_descriptor(args.g)
@@ -276,52 +212,44 @@ def _cmd_dominate(args) -> int:
         outcome = {"kind": "fails-at", "x": got.x}
     else:
         outcome = {"kind": "unknown", "x": got.x}
-    _emit(args, "dominate", inputs, outcome, {})
-    return 0
+    yield inputs, outcome, {}
 
 
-def _cmd_qfam_build(args) -> int:
+def _cmd_qfam_build(args):
     alpha = _alpha_arg(args.alpha)
     inputs = {"alpha": args.alpha, "n": args.n, "width": args.width}
     try:
         table, godel, spec = build_Q(alpha, args.n, args.width,
                                      registry=_registry(args))
     except (BuildOverflow, BudgetExceeded) as stop:
-        _emit(args, "qfam-build", inputs, {"kind": "overflow", "reason": str(stop)}, {})
-        return 0
+        yield inputs, {"kind": "overflow", "reason": str(stop)}, {}
+        return
     outcome = {"kind": "built", "index": godel, "threshold": spec.threshold,
                "rules": len(table.rules)}
-    _emit(args, "qfam-build", inputs, outcome, {"worst_steps": table.worst_steps})
-    return 0
+    yield inputs, outcome, {"worst_steps": table.worst_steps}
 
 
-def _cmd_qfam_stride(args) -> int:
+def _cmd_qfam_stride(args):
     alpha = _alpha_arg(args.alpha)
     ns = range(args.n0, args.n0 + args.count)
     inputs = {"alpha": args.alpha, "n0": args.n0, "count": args.count,
               "width": args.width}
     machines = stride_analysis(alpha, ns, args.width, registry=_registry(args))
     clocks = clock_stride_analysis(alpha, ns, args.width)
-    _emit(args, "qfam-stride", inputs,
-          {"kind": "stride", "role": "machine",
-           "indices": list(machines.indices), "base": machines.base,
-           "stride": machines.stride}, {})
-    _emit(args, "qfam-stride", inputs,
-          {"kind": "stride", "role": "clock",
-           "indices": list(clocks.indices), "base": clocks.base,
-           "stride": clocks.stride}, {})
+    for role, report in (("machine", machines), ("clock", clocks)):
+        yield inputs, {"kind": "stride", "role": role,
+                       "indices": list(report.indices), "base": report.base,
+                       "stride": report.stride}, {}
     pairs = [p_index(m, c) for m, c in zip(machines.indices, clocks.indices)]
     second = differences(differences(pairs))
     third = differences(second)
-    _emit(args, "qfam-stride", inputs,
-          {"kind": "quadratic", "role": "pair", "indices": pairs,
-           "second_diffs": list(second),
-           "second_diffs_constant": len(set(second)) <= 1,
-           "third_diffs_zero": all(d == 0 for d in third)}, {})
-    return 0
+    yield inputs, {"kind": "quadratic", "role": "pair", "indices": pairs,
+                   "second_diffs": list(second),
+                   "second_diffs_constant": len(set(second)) <= 1,
+                   "third_diffs_zero": all(d == 0 for d in third)}, {}
 
 
-def _cmd_qfam_peaks(args) -> int:
+def _cmd_qfam_peaks(args):
     alpha = _alpha_arg(args.alpha)
     budget = _budget(args)
     registry = _registry(args)
@@ -331,9 +259,8 @@ def _cmd_qfam_peaks(args) -> int:
         try:
             got = peak_probe(alpha, n, args.width, budget, args.fuel, registry)
         except IndeterminateSearch as stop:
-            _emit(args, "qfam-peaks", inputs,
-                  {"kind": "indeterminate", "z": stop.z}, {})
-            return 2
+            yield inputs, {"kind": "indeterminate", "z": stop.z}, {}
+            return
         outcome = {"kind": "peak", "sigma_index": got.sigma_index,
                    "threshold": got.threshold}
         if isinstance(got.outcome, Found):
@@ -341,123 +268,109 @@ def _cmd_qfam_peaks(args) -> int:
                            first_coord=got.first_coord)
         else:
             outcome.update(result="exhausted", budget=got.outcome.budget)
-        _emit(args, "qfam-peaks", inputs, outcome, {})
-    return 0
+        yield inputs, outcome, {}
 
 
 # --- parser ------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--human", action="store_true",
-                        help="render records readably instead of JSON")
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser that declares one flag."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
 
-    reg = argparse.ArgumentParser(add_help=False)
-    reg.add_argument("--registry", default="fregistry.txt",
+
+def _build_parser() -> argparse.ArgumentParser:
+    # A command's parents come before its own arguments in --help and usage
+    # lines, so a flag listed ahead of a shared one is passed as a parent too.
+    human = _flag("--human", action="store_true",
+                  help="render records readably instead of JSON")
+    registry = _flag("--registry", default="fregistry.txt",
                      help="path of the persistent machine registry")
-    reg.add_argument("--no-registry", action="store_true",
-                     help="skip registry persistence")
+    registry.add_argument("--no-registry", action="store_true",
+                          help="skip registry persistence")
+    budget = _flag("--budget", type=_natural)
+    fuel = _flag("--fuel", type=_natural, default=DEFAULT_FUEL)
+    width = _flag("--width", type=_natural, default=16)
 
     top = argparse.ArgumentParser(prog="tmlab",
                                   description="computability workbench")
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("tm-run", parents=[common], help="run a machine on a word")
+    def command(name, handler, help, *parents):
+        p = sub.add_parser(name, help=help, parents=[human, *parents])
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("tm-run", _cmd_tm_run, "run a machine on a word", fuel)
     p.add_argument("file")
     p.add_argument("word", nargs="?", default="")
-    p.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL)
-    p.set_defaults(handler=_cmd_tm_run)
 
-    p = sub.add_parser("tm-encode", parents=[common],
-                       help="index of a machine table")
+    p = command("tm-encode", _cmd_tm_encode, "index of a machine table")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_tm_encode)
 
-    p = sub.add_parser("tm-decode", parents=[common],
-                       help="machine named by an index")
+    p = command("tm-decode", _cmd_tm_decode, "machine named by an index")
     p.add_argument("index", type=_natural)
-    p.set_defaults(handler=_cmd_tm_decode)
 
-    p = sub.add_parser("clock-run", parents=[common],
-                       help="run a machine under a step clock")
+    p = command("clock-run", _cmd_clock_run, "run a machine under a step clock")
     p.add_argument("file")
     p.add_argument("word", nargs="?", default="")
-    p.add_argument("--clock", required=True,
-                   help="poly:P or fgh:ALPHA:K")
-    p.set_defaults(handler=_cmd_clock_run)
+    p.add_argument("--clock", required=True, help="poly:P or fgh:ALPHA:K")
 
-    p = sub.add_parser("sat-verify", parents=[common],
-                       help="check a paired formula/assignment position")
+    p = command("sat-verify", _cmd_sat_verify,
+                "check a paired formula/assignment position")
     p.add_argument("z", nargs="?", type=_natural)
     p.add_argument("--x", type=_natural)
     p.add_argument("--y", type=_natural)
     p.add_argument("--dimacs")
     p.add_argument("--assign", help="assignment bits for --dimacs")
-    p.set_defaults(handler=_cmd_sat_verify)
 
-    p = sub.add_parser("sat-solve", parents=[common],
-                       help="first satisfying assignment position")
+    p = command("sat-solve", _cmd_sat_solve, "first satisfying assignment position")
     p.add_argument("x", nargs="?", type=_natural)
     p.add_argument("--dimacs")
-    p.set_defaults(handler=_cmd_sat_solve)
 
-    p = sub.add_parser("fna-search", parents=[common, reg],
-                       help="search for a counterexample to a machine")
+    p = command("fna-search", _cmd_fna_search,
+                "search for a counterexample to a machine", registry, budget, fuel)
     p.add_argument("machine", type=_natural)
-    p.add_argument("--budget", type=_natural)
-    p.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL)
     p.add_argument("--guarded", action="store_true",
                    help="only search recognized solver indices")
-    p.set_defaults(handler=_cmd_fna_search)
 
-    p = sub.add_parser("ord-eval", parents=[common],
-                       help="evaluate the fast-growing hierarchy")
+    p = command("ord-eval", _cmd_ord_eval, "evaluate the fast-growing hierarchy",
+                budget)
     p.add_argument("alpha", help="ordinal text, or eps0 for the diagonal")
     p.add_argument("x", type=_natural)
-    p.add_argument("--budget", type=_natural)
-    p.set_defaults(handler=_cmd_ord_eval)
 
-    p = sub.add_parser("ord-fs", parents=[common],
-                       help="fundamental sequence member of a limit ordinal")
+    p = command("ord-fs", _cmd_ord_fs, "fundamental sequence member of a limit ordinal")
     p.add_argument("alpha")
     p.add_argument("x", type=_natural)
-    p.set_defaults(handler=_cmd_ord_fs)
 
-    p = sub.add_parser("dominate", parents=[common],
-                       help="pointwise comparison certificate on a window")
+    window = _flag("--lo", type=_natural, required=True)
+    window.add_argument("--hi", type=_natural, required=True)
+    p = command("dominate", _cmd_dominate,
+                "pointwise comparison certificate on a window", window, budget)
     p.add_argument("f", help="fgh:ORD[@poly:...], eps0[@poly:...], table:v0,...")
     p.add_argument("g")
-    p.add_argument("--lo", type=_natural, required=True)
-    p.add_argument("--hi", type=_natural, required=True)
-    p.add_argument("--budget", type=_natural)
-    p.set_defaults(handler=_cmd_dominate)
 
-    p = sub.add_parser("qfam-build", parents=[common, reg],
-                       help="build one threshold-solver family member")
+    p = command("qfam-build", _cmd_qfam_build,
+                "build one threshold-solver family member", registry, width)
     p.add_argument("alpha")
     p.add_argument("n", type=_natural)
-    p.add_argument("--width", type=_natural, default=16)
-    p.set_defaults(handler=_cmd_qfam_build)
 
-    p = sub.add_parser("qfam-stride", parents=[common, reg],
-                       help="index progressions of a family")
+    p = command("qfam-stride", _cmd_qfam_stride, "index progressions of a family",
+                registry, _flag("--count", type=_natural, default=4), width)
     p.add_argument("alpha")
     p.add_argument("n0", type=_natural)
-    p.add_argument("--count", type=_natural, default=4)
-    p.add_argument("--width", type=_natural, default=16)
-    p.set_defaults(handler=_cmd_qfam_stride)
 
-    p = sub.add_parser("qfam-peaks", parents=[common, reg],
-                       help="counterexample peaks along a family")
+    p = command("qfam-peaks", _cmd_qfam_peaks, "counterexample peaks along a family",
+                registry, _flag("--count", type=_natural, default=3), width,
+                budget, fuel)
     p.add_argument("alpha")
     p.add_argument("n0", type=_natural)
-    p.add_argument("--count", type=_natural, default=3)
-    p.add_argument("--width", type=_natural, default=16)
-    p.add_argument("--budget", type=_natural)
-    p.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL)
-    p.set_defaults(handler=_cmd_qfam_peaks)
 
     return top
+
+
+GAVE_UP = ("out-of-fuel", "indeterminate")  # the outcome kinds that exit 2
 
 
 def main(argv=None) -> int:
@@ -465,12 +378,23 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as stop:
         return 0 if stop.code == 0 else 1
+    code = 0
     try:
-        return args.handler(args)
+        for inputs, outcome, cost in args.handler(args):
+            record = {"command": args.cmd, "inputs": inputs, "outcome": outcome,
+                      "cost": cost}
+            if args.human:
+                parts = ["%s=%s" % item for item in (*outcome.items(), *cost.items())]
+                print("%s: %s" % (args.cmd, " ".join(parts)))
+            else:
+                print(json.dumps(record))
+            if outcome.get("kind") in GAVE_UP:
+                code = 2
     except (ValueError, ParseError, NotLimit, MalformedCnf, InvalidTable,
             InvalidPair, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":
