@@ -20,11 +20,10 @@ from .clocks import (BudgetExceeded, ClockedMachine, clock_bound, clocked_run,
 from .codec import ClockedTable, InvalidPair, decode_index, encode_table
 from .families import (BuildOverflow, build_Q, clock_stride_analysis, differences,
                        p_index, peak_probe, stride_analysis)
-from .hierarchy import (FailsAt, Holds, Value, dominates_on_window, fgh_eval,
+from .hierarchy import (EPS0, FailsAt, Holds, Value, dominates_on_window, fgh_eval,
                         parse_fn_descriptor)
 from .machines import Halted, InvalidTable, format_tm_text, parse_tm_text, run
-from .ordinals import (NotLimit, ParseError, clock_index_ordinal, fundamental_sequence,
-                       ord_format, ord_parse)
+from .ordinals import NotLimit, ParseError, fundamental_sequence, ord_format, ord_parse
 from .registry import FRegistry
 from .sat import (DEFAULT_FUEL, Found, IndeterminateSearch, MalformedCnf, encode_cnf,
                   f_neg_A, f_prime, parse_dimacs, solve_E, verify_cost)
@@ -70,11 +69,14 @@ def _load_table(path: str):
 
 
 def _alpha_arg(text: str):
-    return "eps0" if text == "eps0" else ord_parse(text)
+    return EPS0 if text == EPS0 else ord_parse(text)
 
 
 def _registry(args):
     return None if args.no_registry else FRegistry(args.registry)
+
+
+OUT_OF_REACH = (BuildOverflow, BudgetExceeded)  # a family member past desk reach
 
 
 # --- handlers: each yields (inputs, outcome, cost) per record -----------------
@@ -125,6 +127,8 @@ def _cmd_clock_run(args):
 
 
 def _sat_verify_z(args) -> int:
+    if args.assign is not None and not args.dimacs:
+        raise ValueError("--assign gives the assignment for --dimacs only")
     if args.z is not None:
         if args.x is not None or args.y is not None or args.dimacs:
             raise ValueError("give either Z or --x/--y or --dimacs")
@@ -184,8 +188,6 @@ def _cmd_fna_search(args):
 def _cmd_ord_eval(args):
     alpha = _alpha_arg(args.alpha)
     budget = _budget(args)
-    if alpha == "eps0":
-        alpha = clock_index_ordinal(args.x)
     got = fgh_eval(alpha, args.x, budget)
     inputs = {"alpha": args.alpha, "x": args.x, "budget": budget}
     if isinstance(got, Value):
@@ -221,7 +223,7 @@ def _cmd_qfam_build(args):
     try:
         table, godel, spec = build_Q(alpha, args.n, args.width,
                                      registry=_registry(args))
-    except (BuildOverflow, BudgetExceeded) as stop:
+    except OUT_OF_REACH as stop:
         yield inputs, {"kind": "overflow", "reason": str(stop)}, {}
         return
     outcome = {"kind": "built", "index": godel, "threshold": spec.threshold,
@@ -234,8 +236,12 @@ def _cmd_qfam_stride(args):
     ns = range(args.n0, args.n0 + args.count)
     inputs = {"alpha": args.alpha, "n0": args.n0, "count": args.count,
               "width": args.width}
-    machines = stride_analysis(alpha, ns, args.width, registry=_registry(args))
-    clocks = clock_stride_analysis(alpha, ns, args.width)
+    try:
+        machines = stride_analysis(alpha, ns, args.width, registry=_registry(args))
+        clocks = clock_stride_analysis(alpha, ns, args.width)
+    except OUT_OF_REACH as stop:
+        yield inputs, {"kind": "overflow", "reason": str(stop)}, {}
+        return
     for role, report in (("machine", machines), ("clock", clocks)):
         yield inputs, {"kind": "stride", "role": role,
                        "indices": list(report.indices), "base": report.base,
@@ -260,6 +266,10 @@ def _cmd_qfam_peaks(args):
             got = peak_probe(alpha, n, args.width, budget, args.fuel, registry)
         except IndeterminateSearch as stop:
             yield inputs, {"kind": "indeterminate", "z": stop.z}, {}
+            return
+        except OUT_OF_REACH as stop:
+            # thresholds do not fall as n grows: later members are out of reach too
+            yield inputs, {"kind": "overflow", "reason": str(stop)}, {}
             return
         outcome = {"kind": "peak", "sigma_index": got.sigma_index,
                    "threshold": got.threshold}

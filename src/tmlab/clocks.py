@@ -9,12 +9,11 @@ ones.  A run cut by its clock outputs the one-character word "0".
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
-from .hierarchy import Value, fgh_eval
+from .hierarchy import EPS0, Value, fgh_eval
 from .machines import Halted, MachineTable, run
-from .ordinals import OrdinalCNF, clock_index_ordinal, ord_format, ord_parse
+from .ordinals import OrdinalCNF, ord_format, ord_parse
 
 DEFAULT_EVAL_BUDGET = 10**6
-EPS0 = "eps0"  # diagonal descriptor: exponent F_{tau(k)}(k) over omega towers
 
 
 class BudgetExceeded(Exception):
@@ -47,17 +46,13 @@ class Parametrized:
             raise ValueError("width must be in 1..255")
         if not 0 <= self.k < (1 << self.width):
             raise ValueError("k must fit the %d-bit field" % self.width)
-        if self.alpha == EPS0:
-            alpha = clock_index_ordinal(self.k)
-        elif isinstance(self.alpha, OrdinalCNF):
-            alpha = self.alpha
-        else:
+        if self.alpha != EPS0 and not isinstance(self.alpha, OrdinalCNF):
             raise ValueError("alpha must be an OrdinalCNF or %r" % EPS0)
-        out = fgh_eval(alpha, self.k, self.eval_budget)
+        out = fgh_eval(self.alpha, self.k, self.eval_budget)
         if not isinstance(out, Value):
             raise BudgetExceeded(
                 "F_%s(%d) not evaluable within %d calls"
-                % (self.alpha if self.alpha == EPS0 else ord_format(alpha),
+                % (self.alpha if self.alpha == EPS0 else ord_format(self.alpha),
                    self.k, self.eval_budget))
         object.__setattr__(self, "exponent", out.value)
 

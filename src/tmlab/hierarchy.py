@@ -2,9 +2,10 @@
 
 Base clauses: F_0(x) = 0 and F_1(x) = 2x (both taken as given).  Successors
 iterate, F_{b+1}(x) = x-fold F_b starting at 1; limits diagonalize along the
-fundamental sequence, F_l(x) = F_{l[x]}(x).  Every evaluator call counts
-against an explicit budget and exhaustion is reported as a value (Overflow),
-never an exception.  Values explode fast, so comparisons use fgh_at_least,
+fundamental sequence, F_l(x) = F_{l[x]}(x).  The level may also be EPS0, the
+epsilon_0 diagonal F_{tau(x)}(x) over the omega towers tau(x) = w, w^w, ...
+Every evaluator call counts against an explicit budget and exhaustion is
+reported as a value (Overflow), never an exception.  Values explode fast, so comparisons use fgh_at_least,
 which certifies lower bounds by capping intermediate values at the threshold.
 """
 
@@ -36,6 +37,8 @@ class Overflow:
 
 
 EvalOutcome = Union[Value, Overflow]
+
+EPS0 = "eps0"  # the diagonal level: F_eps0(x) = F_{tau(x)}(x)
 
 
 class _BudgetOut(Exception):
@@ -80,13 +83,33 @@ def _eval(a: OrdinalCNF, x: int, counter: _Counter) -> int:
     return _eval(fundamental_sequence(a, x), x, counter)
 
 
-def fgh_eval(alpha: OrdinalCNF, x: int, budget: int) -> EvalOutcome:
-    """F_alpha(x), or Overflow when more than budget evaluator calls are needed.
-    Interpreter stack exhaustion on deep descents counts as running out too:
-    evaluation must stay total for arbitrary (crafted) levels."""
+def _level(alpha, x: int, budget: int) -> Optional[OrdinalCNF]:
+    """The ordinal level F_alpha takes at x: alpha itself, or for EPS0 the
+    tower tau(x); None when F_{tau(x)}(x) is sure to cost more than budget.
+
+    Depth lemma: tau(x) nests x + 1 deep (finite ordinals at 0, w at 1).  For
+    x >= 1 a fundamental-sequence step lowers depth by at most one and a
+    predecessor step never does, so F_{tau(x)}(x) costs at least x + 2 calls,
+    exactly or capped.  Below that budget no tower is built: for a crafted x
+    in the billions it would not fit in memory."""
+    if alpha != EPS0:
+        return alpha
+    if x >= 1 and x + 2 > budget:
+        return None
+    return clock_index_ordinal(x)
+
+
+def fgh_eval(alpha, x: int, budget: int) -> EvalOutcome:
+    """F_alpha(x) for an ordinal or EPS0, or Overflow when more than budget
+    evaluator calls are needed.  Interpreter stack exhaustion on deep descents
+    counts as running out too: evaluation must stay total for arbitrary
+    (crafted) levels."""
+    level = _level(alpha, x, budget)
+    if level is None:
+        return Overflow(budget)
     counter = _Counter(budget)
     try:
-        v = _eval(alpha, x, counter)
+        v = _eval(level, x, counter)
     except (_BudgetOut, RecursionError):
         return Overflow(budget)
     return Value(v, counter.used)
@@ -117,14 +140,17 @@ def _eval_capped(a: OrdinalCNF, x, counter: _Counter, threshold: int):
     return _eval_capped(fundamental_sequence(a, x), x, counter, threshold)
 
 
-def fgh_at_least(alpha: OrdinalCNF, x: int, threshold: int, budget: int):
+def fgh_at_least(alpha, x: int, threshold: int, budget: int):
     """True when F_alpha(x) >= threshold is certified, False when the exact
     value was computed below it, UNKNOWN when the budget died first."""
     if threshold <= 0:
         return True
+    level = _level(alpha, x, budget)
+    if level is None:
+        return UNKNOWN
     counter = _Counter(budget)
     try:
-        v = _eval_capped(alpha, x, counter, threshold)
+        v = _eval_capped(level, x, counter, threshold)
     except (_BudgetOut, RecursionError):
         return UNKNOWN
     return True if v is _INF else v >= threshold
@@ -166,7 +192,7 @@ FnDescriptor = Union[FghFn, TableFn, Eps0Fn]
 
 
 def parse_fn_descriptor(s: str) -> FnDescriptor:
-    if s == "eps0":
+    if s == EPS0:
         return Eps0Fn()
     if s.startswith("eps0@poly:"):
         return Eps0Fn(_parse_poly(s[len("eps0@"):]))
@@ -206,9 +232,8 @@ def fn_eval(d: FnDescriptor, x: int, budget: int) -> Optional[int]:
     """Exact value of the described function, or None when not evaluable."""
     if isinstance(d, TableFn):
         return d.values[x] if 0 <= x < len(d.values) else None
-    arg = _argument(d, x)
-    alpha = clock_index_ordinal(arg) if isinstance(d, Eps0Fn) else d.alpha
-    out = fgh_eval(alpha, arg, budget)
+    alpha = EPS0 if isinstance(d, Eps0Fn) else d.alpha
+    out = fgh_eval(alpha, _argument(d, x), budget)
     return out.value if isinstance(out, Value) else None
 
 
@@ -218,9 +243,8 @@ def fn_at_least(d: FnDescriptor, x: int, threshold: int, budget: int):
         if not 0 <= x < len(d.values):
             return UNKNOWN
         return d.values[x] >= threshold
-    arg = _argument(d, x)
-    alpha = clock_index_ordinal(arg) if isinstance(d, Eps0Fn) else d.alpha
-    return fgh_at_least(alpha, arg, threshold, budget)
+    alpha = EPS0 if isinstance(d, Eps0Fn) else d.alpha
+    return fgh_at_least(alpha, _argument(d, x), threshold, budget)
 
 
 # --- window domination ----------------------------------------------------

@@ -45,6 +45,7 @@ SIGMA_EPS0 = "1970180"  # trivial machine under the eps0 clock at k = 2
 SIGMA_F2 = "252183849"  # trivial machine under fgh:2 at k = 5
 SIGMA_F3 = "252184618"  # fgh:3 at k = 8: out of the decoder's budget
 SIGMA_WW = "16139733294"  # fgh:w^w at k = 3: out of the decoder's budget
+SIGMA_EPS0_HUGE = "133118694020816"  # eps0 clock at k = 4,533,791,592
 
 
 def case(*argv, env=None, seed=None):
@@ -92,6 +93,7 @@ CASES = [
     case("tm-decode", SIGMA_F2),
     case("tm-decode", SIGMA_F3),
     case("tm-decode", SIGMA_WW),
+    case("tm-decode", SIGMA_EPS0_HUGE),
     case("tm-decode", "28", "--human"),
     case("tm-decode", "-7"),
     case("tm-decode", "abc"),
@@ -156,6 +158,9 @@ CASES = [
     case("ord-eval", "eps0", "3", "--budget", "100"),
     case("ord-eval", "eps0", "2000"),
     case("ord-eval", "eps0", "20000"),
+    case("ord-eval", "eps0", "3000000"),
+    case("ord-eval", "eps0", "30000000"),
+    case("ord-eval", "eps0", "1", "--budget", "3"),
     case("ord-eval", "w", "3", "--human"),
     case("ord-eval", "w^" * 1200 + "1", "2"),
     case("ord-eval", "2", "-3"),

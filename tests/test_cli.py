@@ -1,9 +1,15 @@
 """Command-line surface: records, exit codes, and determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tmlab
 from tmlab import cli
 from tmlab.codec import encode_table
 from tmlab.machines import MachineTable, Rule
@@ -88,8 +94,12 @@ def test_sat_verify_three_input_forms(tm, capsys):
 def test_sat_verify_usage_errors(tm, capsys):
     assert cli.main(["sat-verify"]) == 1
     assert cli.main(["sat-verify", "5", "--x", "1"]) == 1
-    err = capsys.readouterr().err
-    assert err.count("error:") == 2
+    # --assign only means something next to --dimacs
+    assert cli.main(["sat-verify", "68", "--assign", "01"]) == 1
+    assert cli.main(["sat-verify", "--x", "9", "--y", "2", "--assign", "0101"]) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.count("error:") == 4
 
 
 def test_sat_solve(capsys):
@@ -246,6 +256,46 @@ def test_qfam_peaks_exhausted(capsys):
     (rec,) = records(capsys)
     assert rec["outcome"]["result"] == "exhausted"
     assert rec["outcome"]["budget"] == 50
+
+
+def test_qfam_past_desk_reach_answers_overflow(capsys):
+    # F_3(4) = 65536 is past the desk bound: peaks stop at the first such n,
+    # since thresholds do not fall as n grows
+    assert cli.main(["qfam-peaks", "3", "2", "--count", "3", "--no-registry"]) == 0
+    recs = records(capsys)
+    assert [r["inputs"]["n"] for r in recs] == [2, 3, 4]
+    assert [r["outcome"]["kind"] for r in recs] == ["peak", "peak", "overflow"]
+    assert "65536 is out of desk reach" in recs[2]["outcome"]["reason"]
+    assert cli.main(["qfam-peaks", "3", "4", "--count", "1", "--no-registry"]) == 0
+    assert [r["outcome"]["kind"] for r in records(capsys)] == ["overflow"]
+    assert cli.main(["qfam-stride", "3", "4", "--no-registry"]) == 0
+    (rec,) = records(capsys)
+    assert rec["outcome"] == recs[2]["outcome"]
+    assert rec["inputs"] == {"alpha": "3", "n0": 4, "count": 4, "width": 16}
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv, outcome", [
+    (["ord-eval", "eps0", "3000000"], {"kind": "overflow", "budget": 10000}),
+    (["ord-eval", "eps0", "30000000"], {"kind": "overflow", "budget": 10000}),
+    # a sigma word whose eps0 clock has k = 4,533,791,592
+    (["tm-decode", "133118694020816"], {"kind": "table", "rules": 0, "text": ""}),
+])
+def test_eps0_levels_past_budget_answer_at_once(argv, outcome):
+    # in a child capped at 1 GB of address space and 10 s, so that building
+    # the k-high omega tower fails the test instead of swapping
+    src = str(Path(tmlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("CLOCKWORK_BUDGET", None)
+    got = subprocess.run([sys.executable, "-m", "tmlab", *argv], env=env,
+                         capture_output=True, text=True, timeout=10,
+                         preexec_fn=_limit_memory)
+    assert got.returncode == 0, got.stderr
+    (line,) = got.stdout.splitlines()
+    assert json.loads(line)["outcome"] == outcome
 
 
 def test_registry_file_is_written(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 from tmlab.hierarchy import (
+    EPS0,
     UNKNOWN,
     Eps0Fn,
     FailsAt,
@@ -21,7 +22,7 @@ from tmlab.hierarchy import (
     parse_fn_descriptor,
     poly_eval,
 )
-from tmlab.ordinals import ord_parse
+from tmlab.ordinals import clock_index_ordinal, ord_parse
 
 BIG = 10 ** 6
 
@@ -157,6 +158,33 @@ def test_fn_eval_variants():
     assert fn_eval(FghFn(_nat(1), poly=(0, 0, 1)), 3, BIG) == 18  # F_1(3^2)
     assert fn_eval(FghFn(_nat(3)), 8, 10 ** 4) is None  # overflow
     assert fn_eval(Eps0Fn(), 2, BIG) == 4  # diagonal at 2, like every level >= 2
+
+
+def test_eps0_depth_shortcut_matches_plain_evaluation():
+    # for k >= 1 and budget < k + 2 the eps0 level answers without building
+    # the tower; the plain evaluation of that tower must agree everywhere
+    for k in range(0, 7):
+        tower = clock_index_ordinal(k)
+        for budget in range(0, 11):
+            assert fgh_eval(EPS0, k, budget) == fgh_eval(tower, k, budget)
+            assert fn_eval(Eps0Fn(), k, budget) == fn_eval(FghFn(tower), k, budget)
+            for threshold in (0, 1, 2, 3, 5, 100):
+                assert (fgh_at_least(EPS0, k, threshold, budget)
+                        is fgh_at_least(tower, k, threshold, budget))
+                assert (fn_at_least(Eps0Fn(), k, threshold, budget)
+                        is fn_at_least(FghFn(tower), k, threshold, budget))
+    # the bound is tight at k = 1: three calls settle it, two do not
+    assert fgh_eval(EPS0, 1, 3) == Value(2, 3)
+    assert fgh_eval(EPS0, 1, 2) == Overflow(2)
+
+
+def test_eps0_level_beyond_budget_builds_no_tower():
+    # a tower this tall would not fit in memory; the depth lemma answers first
+    k = 4_533_791_592
+    assert fgh_eval(EPS0, k, 10 ** 4) == Overflow(10 ** 4)
+    assert fgh_at_least(EPS0, k, 5, 10 ** 4) is UNKNOWN
+    assert fgh_at_least(EPS0, k, 0, 10 ** 4) is True
+    assert fn_eval(Eps0Fn(), k, 10 ** 4) is None
 
 
 def test_fn_at_least_variants():
