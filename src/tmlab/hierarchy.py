@@ -5,8 +5,9 @@ iterate, F_{b+1}(x) = x-fold F_b starting at 1; limits diagonalize along the
 fundamental sequence, F_l(x) = F_{l[x]}(x).  The level may also be EPS0, the
 epsilon_0 diagonal F_{tau(x)}(x) over the omega towers tau(x) = w, w^w, ...
 Every evaluator call counts against an explicit budget and exhaustion is
-reported as a value (Overflow), never an exception.  Values explode fast, so comparisons use fgh_at_least,
-which certifies lower bounds by capping intermediate values at the threshold.
+reported as a value (Overflow), never an exception.  Values explode fast, so
+comparisons use fgh_at_least, which certifies lower bounds by capping
+intermediate values at the threshold.
 """
 
 from dataclasses import dataclass
