@@ -198,6 +198,7 @@ CASES = [
     # qfam-stride
     case("qfam-stride", "1", "0", "--count", "4", "--no-registry"),
     case("qfam-stride", "2", "0", "--count", "3", "--width", "8", "--no-registry"),
+    case("qfam-stride", "2", "6", "--count", "3", "--width", "8", "--no-registry"),
     case("qfam-stride", "1", "0", "--count", "0", "--no-registry"),
     case("qfam-stride", "1", "0", "--count", "2", "--human", "--no-registry"),
     case("qfam-stride", "3", "4", "--no-registry"),

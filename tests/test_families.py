@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tmlab
 from tmlab import codec, families, registry
@@ -59,6 +60,37 @@ def test_q_table_worst_steps_and_canonical_order():
     observed = max(run(table, index_word(x), 10 ** 4).steps for x in range(5))
     assert table.worst_steps == observed
     assert table.canonical().rules == table.rules
+
+
+# members of levels 1 and 2 in any order, so that thresholds rise and fall
+MEMBERS = st.one_of(st.tuples(st.just(ORD1), st.integers(0, 300)),
+                    st.tuples(st.just(ORD2), st.integers(0, 8)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.tuples(MEMBERS, st.integers(9, 20)), min_size=1, max_size=4))
+def test_builds_in_any_order_match_a_fresh_solve(members):
+    for (alpha, n), width in members:
+        table = build_q_table(alpha, n, width)
+        threshold = Parametrized(alpha, n, width).exponent
+        outputs = [index_word(solve_E(x)) for x in range(threshold + 1)]
+        assert table.threshold == threshold
+        assert table.rules == _dispatch_rules(outputs)
+        assert table.worst_steps == max(len(index_word(x)) + max(1, len(out))
+                                        for x, out in enumerate(outputs))
+
+
+def test_repeat_build_still_self_checks_every_position(monkeypatch):
+    calls = []
+
+    def counting(table, word, fuel):
+        calls.append(word)
+        return run(table, word, fuel)
+
+    build_q_table(ORD1, 5)  # threshold F_1(5) = 10
+    monkeypatch.setattr(families, "run", counting)
+    build_q_table(ORD1, 5)
+    assert calls == [index_word(x) for x in range(11)]
 
 
 def test_q_table_zero_threshold():
