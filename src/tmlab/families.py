@@ -10,7 +10,10 @@ build_Q wires the brute-force satisfiability solver behind a threshold drawn
 from the fast-growing hierarchy, which is what makes the family's bounding
 clocks climb that hierarchy while each member stays a plain finite table.
 Each call builds its member once: one table, validated and compiled once by
-the self-check that runs every in-range position.
+the self-check that runs every in-range position.  Solver answers and step
+counts do not depend on the threshold, so they are computed once per process
+and shared by later builds: the desk table grows to the largest threshold
+built, at most DESK_THRESHOLD_BOUND + 1 entries at the default bound.
 """
 
 from dataclasses import dataclass
@@ -25,6 +28,11 @@ from .sat import Found, runner_for, scan, solve_E
 from .words import index_word, pair, proj1
 
 DESK_THRESHOLD_BOUND = 1 << 12  # largest table we agree to materialize
+
+# (answer word, in-range step count |w| + max(1, |out|)) for positions
+# 0..len - 1.  Never mutated: a build that needs more positions rebinds it
+# to a longer tuple, so a racing build at worst solves a suffix twice.
+_desk = ()
 
 
 class BuildOverflow(Exception):
@@ -116,12 +124,12 @@ def _dispatch_rules(outputs) -> tuple:
     return tuple(rules + chain_rules)
 
 
-def _measure(table: MachineTable, outputs, needs) -> None:
+def _measure(table: MachineTable, entries) -> None:
     """Self-check: every in-range position halts with its answer in exactly
     its step count.  Compiles the table's program for later runs."""
-    for x, expected in enumerate(outputs):
-        need = needs[x]
-        assert run(table, index_word(x), need) == Halted(expected, need), \
+    for x, (expected, need) in enumerate(entries):
+        got = run(table, index_word(x), need)
+        assert type(got) is Halted and got.output == expected and got.steps == need, \
             "dispatch self-check failed at position %d" % x
 
 
@@ -135,19 +143,24 @@ def build_q_table(alpha, n: int, width: int = 16,
     if threshold > corpus_bound:
         raise BuildOverflow("threshold F_alpha(%d) = %d is out of desk reach"
                             % (n, threshold))
-    outputs = [index_word(solve_E(x)) for x in range(threshold + 1)]
-    needs = []  # in-range step counts: |w| + max(1, |out|)
-    for x, out in enumerate(outputs):
+    global _desk
+    desk = _desk
+    if len(desk) <= threshold:  # solve only the positions no build reached yet
+        grown = []
+        for x in range(len(desk), threshold + 1):
+            out = index_word(solve_E(x))
+            grown.append((out, (x + 1).bit_length() - 1 + max(1, len(out))))
+        desk = _desk = desk + tuple(grown)
+    entries = desk[:threshold + 1]
+    for x, (_, need) in enumerate(entries):
         length = (x + 1).bit_length() - 1  # |index_word(x)|
-        need = length + max(1, len(out))
         # length ** threshold >= 0, so need <= threshold already fits the
         # clock without computing that power
         assert need <= threshold or need <= length ** threshold + threshold, \
             "in-range run exceeds the family clock at %d" % x
-        needs.append(need)
-    table = QTable(_dispatch_rules(outputs), threshold=threshold,
-                   worst_steps=max(needs), alpha=alpha, n=n, width=width)
-    _measure(table, outputs, needs)
+    table = QTable(_dispatch_rules([out for out, _ in entries]), threshold=threshold,
+                   worst_steps=max(need for _, need in entries), alpha=alpha, n=n, width=width)
+    _measure(table, entries)
     return table
 
 

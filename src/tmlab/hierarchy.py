@@ -70,6 +70,11 @@ class _Counter:
 
 
 def _eval(a: OrdinalCNF, x: int, counter: _Counter) -> int:
+    # Size bound: only F_1 grows a value, by one doubling per call, and every
+    # value starts as 0, x or 1, so a Value(v, cost) at argument x has
+    # v.bit_length() <= max(x, 1).bit_length() + cost.  The budget thus bounds
+    # memory already; only time is quadratic in it, as each doubling takes
+    # time linear in the bits of its value.
     counter.tick()
     if a == ZERO:
         return 0
@@ -104,7 +109,9 @@ def fgh_eval(alpha, x: int, budget: int) -> EvalOutcome:
     """F_alpha(x) for an ordinal or EPS0, or Overflow when more than budget
     evaluator calls are needed.  Interpreter stack exhaustion on deep descents
     counts as running out too: evaluation must stay total for arbitrary
-    (crafted) levels."""
+    (crafted) levels.  A negative x is a ValueError."""
+    if x < 0:
+        raise ValueError("argument must be >= 0")
     level = _level(alpha, x, budget)
     if level is None:
         return Overflow(budget)
@@ -143,7 +150,10 @@ def _eval_capped(a: OrdinalCNF, x, counter: _Counter, threshold: int):
 
 def fgh_at_least(alpha, x: int, threshold: int, budget: int):
     """True when F_alpha(x) >= threshold is certified, False when the exact
-    value was computed below it, UNKNOWN when the budget died first."""
+    value was computed below it, UNKNOWN when the budget died first.  A
+    negative x is a ValueError, whatever the threshold."""
+    if x < 0:
+        raise ValueError("argument must be >= 0")
     if threshold <= 0:
         return True
     level = _level(alpha, x, budget)

@@ -1,6 +1,9 @@
 """Fast-growing hierarchy evaluation, certificates, and window domination."""
 
+from functools import cmp_to_key
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmlab.hierarchy import (
     EPS0,
@@ -22,7 +25,7 @@ from tmlab.hierarchy import (
     parse_fn_descriptor,
     poly_eval,
 )
-from tmlab.ordinals import clock_index_ordinal, ord_parse
+from tmlab.ordinals import OrdinalCNF, clock_index_ordinal, from_nat, ord_compare, ord_parse
 
 BIG = 10 ** 6
 
@@ -101,6 +104,64 @@ def test_deep_finite_levels_stay_total():
     # level 5000 descends deeper than the interpreter stack; still a value
     assert fgh_eval(_nat(5000), 2, BIG) == Overflow(BIG)
     assert fgh_at_least(_nat(5000), 2, 5, BIG) is UNKNOWN
+
+
+def test_negative_arguments_are_value_errors():
+    with pytest.raises(ValueError):
+        fgh_eval(_nat(2), -5, 100)
+    with pytest.raises(ValueError):
+        fgh_eval(_nat(1), -3, 100)
+    with pytest.raises(ValueError):
+        fgh_at_least(_nat(2), -5, 1, 100)
+    with pytest.raises(ValueError):
+        fgh_at_least(_nat(2), -5, 0, 100)  # before the threshold shortcut
+    with pytest.raises(ValueError):
+        fgh_eval(EPS0, -1, 100)
+
+
+@st.composite
+def ordinals(draw, depth):
+    """An ordinal below epsilon_0 whose CNF nests at most depth deep."""
+    if depth == 0 or draw(st.booleans()):
+        return from_nat(draw(st.integers(0, 3)))
+    exponents = []
+    for e in draw(st.lists(ordinals(depth - 1), min_size=1, max_size=2)):
+        if all(ord_compare(e, f) != 0 for f in exponents):
+            exponents.append(e)
+    exponents.sort(key=cmp_to_key(ord_compare), reverse=True)
+    return OrdinalCNF(tuple((e, draw(st.integers(1, 2))) for e in exponents))
+
+
+def _depth(alpha) -> int:
+    """CNF nesting height with finite ordinals at 0 and w at 1, by an explicit
+    stack rather than recursion."""
+    height, stack = 0, [(alpha, 0)]
+    while stack:
+        a, above = stack.pop()
+        for e, _ in a.terms:
+            if e.terms:  # a term w^e with e >= 1 nests one level deeper
+                height = max(height, above + 1)
+                stack.append((e, above + 1))
+    return height
+
+
+@settings(deadline=None, max_examples=200)
+@given(ordinals(6), st.integers(1, 4), st.integers(0, 200))
+def test_depth_lemma_and_value_size(alpha, x, budget):
+    got = fgh_eval(alpha, x, budget)
+    depth = _depth(alpha)
+    if budget < depth + 1:
+        assert got == Overflow(budget)
+    if isinstance(got, Value):
+        assert got.cost >= depth + 1
+        assert got.value.bit_length() <= max(x, 1).bit_length() + got.cost
+
+
+def test_depth_of_known_levels():
+    assert [_depth(ord_parse(t)) for t in ("0", "5", "w", "w*2+3", "w^w", "w^(w^w)+w^2")] \
+        == [0, 0, 1, 1, 2, 3]
+    assert _depth(clock_index_ordinal(5)) == 6
+    assert fgh_eval(ord_parse("w^w^w"), 1, BIG) == Value(2, 4)  # the lemma is tight
 
 
 def test_at_least_exact_false():
