@@ -40,6 +40,7 @@ UNKNOWN = "1310221222"  # a plain table, neither a pair image nor registered
 FAMILY_1_0 = "3590592662364"  # family word: level 1, n = 0, width 16
 FAMILY_1_1 = 3590592678748  # family word: level 1, n = 1, width 16
 FAMILY_EPS0_1 = "112206021468"  # family word: eps0, n = 1, width 16
+FAMILY_200_2 = "229248753256540"  # family word: level 200, n = 2, width 8
 SIGMA_POLY = "141397806663293158498560927150"  # flip.tm under poly:1
 SIGMA_EPS0 = "1970180"  # trivial machine under the eps0 clock at k = 2
 SIGMA_F2 = "252183849"  # trivial machine under fgh:2 at k = 5
@@ -88,6 +89,7 @@ CASES = [
     case("tm-decode", "12345"),
     case("tm-decode", FAMILY_1_0),
     case("tm-decode", FAMILY_EPS0_1),
+    case("tm-decode", FAMILY_200_2),
     case("tm-decode", SIGMA_POLY),
     case("tm-decode", SIGMA_EPS0),
     case("tm-decode", SIGMA_F2),

@@ -101,7 +101,8 @@ def test_overflow_even_with_generous_budget_on_towering_values():
 
 
 def test_deep_finite_levels_stay_total():
-    # level 5000 descends deeper than the interpreter stack; still a value
+    # F_k(2) = 4 costs k(k+1)/2 calls, 12,502,500 for k = 5000, more than the
+    # budget of 10^6: Overflow is the budget's own answer
     assert fgh_eval(_nat(5000), 2, BIG) == Overflow(BIG)
     assert fgh_at_least(_nat(5000), 2, 5, BIG) is UNKNOWN
 
@@ -155,6 +156,23 @@ def test_depth_lemma_and_value_size(alpha, x, budget):
     if isinstance(got, Value):
         assert got.cost >= depth + 1
         assert got.value.bit_length() <= max(x, 1).bit_length() + got.cost
+
+
+@settings(deadline=None, max_examples=100)
+@given(ordinals(3), st.integers(0, 4), st.integers(0, 3000), st.integers(1, 10 ** 6))
+def test_at_least_agrees_with_eval(alpha, x, budget, threshold):
+    """At the exact value's own cost the certificate decides every threshold,
+    and a False is only ever an exact value below the threshold.  Levels nest
+    3 deep, not 4: fgh_eval(w^w^(w^(w*2)+1), 3, 2207) alone takes 42 s, as
+    every evaluator call re-validates the deep ordinals it builds."""
+    got = fgh_eval(alpha, x, budget)
+    if isinstance(got, Value):
+        v, cost = got.value, got.cost
+        for t in (1, v, v + 1, 2 * v + 1):
+            assert fgh_at_least(alpha, x, t, cost) == (v >= t), t
+    for t in (threshold,) + ((1, got.value + 1) if isinstance(got, Value) else ()):
+        if fgh_at_least(alpha, x, t, budget) is False:
+            assert isinstance(got, Value) and got.value < t
 
 
 def test_depth_of_known_levels():

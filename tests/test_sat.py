@@ -28,7 +28,7 @@ from tmlab.sat import (
     verify,
     verify_cost,
 )
-from tmlab.words import index_word, pair, word_index
+from tmlab.words import index_word, pair, unpair, word_index
 
 V1 = CnfFormula((((1, True),),), 1)
 
@@ -192,6 +192,33 @@ def test_verify_cost_is_quadratic():
         bit, ops = verify_cost(z)
         assert bit == verify(z)
         assert ops <= 64 * (z.bit_length() + 2) ** 2
+
+
+def _verify_cost_oracle(z):
+    """Reference for verify_cost: the run scan |wx| + |wy| + 1, then one op
+    per literal looked at, clause by clause up to the first true literal."""
+    x, y = unpair(z)
+    wx, wy = index_word(x), index_word(y)
+    ops = len(wx) + len(wy) + 1
+    try:
+        f = decode_cnf(wx)
+    except MalformedCnf:
+        return 0, ops
+    if len(wy) != f.num_vars:
+        return 0, ops
+    for clause in f.clauses:
+        hits = [wy[var - 1] == ("1" if pos else "0") for var, pos in clause]
+        if True not in hits:
+            return 0, ops + len(clause)
+        ops += hits.index(True) + 1
+    return 1, ops
+
+
+def test_verify_cost_matches_literal_count():
+    for z in range(20000):
+        got = verify_cost(z)
+        assert got == _verify_cost_oracle(z), z
+        assert verify(z) == got[0], z
 
 
 def test_dimacs_parsing():
