@@ -26,7 +26,7 @@ from .machines import Halted, InvalidTable, format_tm_text, parse_tm_text, run
 from .ordinals import NotLimit, ParseError, fundamental_sequence, ord_format, ord_parse
 from .registry import FRegistry
 from .sat import (DEFAULT_FUEL, Found, IndeterminateSearch, MalformedCnf, encode_cnf,
-                  f_neg_A, f_prime, parse_dimacs, solve_E, verify_cost)
+                  f_neg_A, f_prime, parse_dimacs, solve_E, verify, verify_cost)
 from .words import index_word, pair, word_index
 
 DEFAULT_BUDGET = 10 ** 4
@@ -162,7 +162,7 @@ def _cmd_sat_solve(args):
         x = args.x
     y = solve_E(x)
     outcome = {"y": y, "assignment": index_word(y),
-               "witnessed": verify_cost(pair(x, y))[0] == 1}
+               "witnessed": verify(pair(x, y)) == 1}
     yield {"x": x}, outcome, {}
 
 

@@ -177,13 +177,33 @@ def _read_alpha(bits: str, pos: int):
     return _read_ord(bits, pos + 1)
 
 
+def _param_bits(alpha, k: int, width: int) -> str:
+    """The layout clock specs and family words share: a width byte, k in a
+    field of that many bits, then the level block."""
+    return format(width, "08b") + format(k, "0%db" % width) + _alpha_bits(alpha)
+
+
+def _read_param(bits: str, pos: int):
+    """Strict parse of _param_bits at pos: ((alpha, k, width), end) or None."""
+    if pos + 8 > len(bits):
+        return None
+    width = int(bits[pos:pos + 8], 2)
+    pos += 8
+    if width < 1 or pos + width > len(bits):
+        return None
+    k = int(bits[pos:pos + width], 2)
+    got = _read_alpha(bits, pos + width)
+    if got is None:
+        return None
+    return (got[0], k, width), got[1]
+
+
 # --- clock specs and clock words ---------------------------------------------
 
 def _clockspec_bits(c: ClockSpec) -> str:
     if isinstance(c, PlainPoly):
         return "0" + _gamma(c.p + 1)
-    return ("1" + format(c.width, "08b") + format(c.k, "0%db" % c.width)
-            + _alpha_bits(c.alpha))
+    return "1" + _param_bits(c.alpha, c.k, c.width)
 
 
 def _read_clockspec(bits: str, pos: int):
@@ -196,24 +216,15 @@ def _read_clockspec(bits: str, pos: int):
         if got is None:
             return None
         return ("poly", got[0] - 1), got[1]
-    pos += 1
-    if pos + 8 > len(bits):
-        return None
-    width = int(bits[pos:pos + 8], 2)
-    pos += 8
-    if width < 1 or pos + width > len(bits):
-        return None
-    k = int(bits[pos:pos + width], 2)
-    pos += width
-    got = _read_alpha(bits, pos)
+    got = _read_param(bits, pos + 1)
     if got is None:
         return None
-    alpha, pos = got
-    return ("fgh", alpha, k, width), pos
+    return ("fgh",) + got[0], got[1]
 
 
-# Decoding must stay a desk operation: clock exponents that need more ticks
-# than this to evaluate make the word fall back to the trivial machine.
+# Decoding must stay a desk operation: clock exponents and family thresholds
+# that need more ticks than this to evaluate make the word fall back to the
+# trivial machine.
 DECODE_EVAL_BUDGET = 10 ** 4
 
 
@@ -241,8 +252,7 @@ def family_word_bits(alpha, n: int, width: int) -> str:
         raise ValueError("width must be in 1..255")
     if not 0 <= n < (1 << width):
         raise ValueError("n must fit the %d-bit field" % width)
-    return (TAG_FAMILY + format(width, "08b") + format(n, "0%db" % width)
-            + _alpha_bits(alpha) + E_MARKER)
+    return TAG_FAMILY + _param_bits(alpha, n, width) + E_MARKER
 
 
 def family_index(alpha, n: int, width: int) -> int:
@@ -253,29 +263,17 @@ def _read_family(bits: str):
     """Full-word strict parse of a family word: (alpha, n, width) or None."""
     if not bits.startswith(TAG_FAMILY):
         return None
-    pos = len(TAG_FAMILY)
-    if pos + 8 > len(bits):
+    got = _read_param(bits, len(TAG_FAMILY))
+    if got is None or bits[got[1]:] != E_MARKER:
         return None
-    width = int(bits[pos:pos + 8], 2)
-    pos += 8
-    if width < 1 or pos + width > len(bits):
-        return None
-    n = int(bits[pos:pos + width], 2)
-    pos += width
-    got = _read_alpha(bits, pos)
-    if got is None:
-        return None
-    alpha, pos = got
-    if bits[pos:] != E_MARKER:
-        return None
-    return alpha, n, width
+    return got[0]
 
 
 def _family_table(alpha, n: int, width: int) -> MachineTable:
     from .families import BuildOverflow, build_q_table  # deferred: families imports this module
 
     try:
-        return build_q_table(alpha, n, width)
+        return build_q_table(alpha, n, width, eval_budget=DECODE_EVAL_BUDGET)
     except (BuildOverflow, BudgetExceeded):
         return trivial_machine()  # honest fallback: threshold out of desk reach
 
@@ -347,24 +345,15 @@ def decode_index(i: int) -> Union[MachineTable, ClockedTable]:
     bits = index_word(i)
     if bits.startswith(TAG_SIGMA):
         got = _split_sigma(bits)
-        if got is None:
-            return trivial_machine()
-        spec, tail = got
-        machine = _decode_machine_block(tail)
+        machine = None if got is None else _decode_machine_block(got[1])
         if machine is None:
             return trivial_machine()
         try:
-            clock = _materialize_clockspec(spec)
+            clock = _materialize_clockspec(got[0])
         except BudgetExceeded:
             return trivial_machine()  # clock exponent out of desk reach
         return ClockedTable(machine, clock)
-    if bits.startswith(TAG_FAMILY):
-        fields = _read_family(bits)
-        return _family_table(*fields) if fields else trivial_machine()
     if bits.startswith(TAG_CLOCK):
         return trivial_machine()  # clock words name clocks, not runnable tables
-    text = _unpack(bits)
-    if text is None:
-        return trivial_machine()
-    table = _parse_table_text(text)
-    return table.canonical() if table is not None else trivial_machine()
+    machine = _decode_machine_block(bits)  # a family word or a table text
+    return trivial_machine() if machine is None else machine

@@ -6,8 +6,8 @@ fundamental sequence, F_l(x) = F_{l[x]}(x).  The level may also be EPS0, the
 epsilon_0 diagonal F_{tau(x)}(x) over the omega towers tau(x) = w, w^w, ...
 Every evaluator call counts against an explicit budget and exhaustion is
 reported as a value (Overflow), never an exception.  Values explode fast, so
-comparisons use fgh_at_least, which certifies lower bounds by capping
-intermediate values at the threshold.
+comparisons use fgh_at_least, the same evaluator run with intermediate values
+capped at the threshold, which certifies lower bounds.
 """
 
 from dataclasses import dataclass
@@ -53,7 +53,7 @@ class _Unknown:
 
 UNKNOWN = _Unknown()
 
-_INF = object()  # stands for "already >= threshold" inside the capped evaluator
+_INF = object()  # stands for "already >= cap" inside a capped evaluation
 
 
 class _Counter:
@@ -69,24 +69,32 @@ class _Counter:
             raise _BudgetOut()
 
 
-def _eval(a: OrdinalCNF, x: int, counter: _Counter) -> int:
+def _eval(a: OrdinalCNF, x: int, counter: _Counter, cap: Optional[int] = None):
     # Size bound: only F_1 grows a value, by one doubling per call, and every
     # value starts as 0, x or 1, so a Value(v, cost) at argument x has
     # v.bit_length() <= max(x, 1).bit_length() + cost.  The budget thus bounds
     # memory already; only time is quadratic in it, as each doubling takes
     # time linear in the bits of its value.
+    #
+    # With a cap, a result may be _INF ("known >= cap"), and the successor
+    # clause stops at once on it, so x is always exact.  Sound because every
+    # F_g with g >= 1 satisfies F_g(v) >= v, and F_0 is never iterated here:
+    # the successor clause only unfolds for a >= 2, whose predecessor is >= 1.
     counter.tick()
     if a == ZERO:
         return 0
     if a == ONE:
-        return 2 * x
+        v = 2 * x
+        return _INF if cap is not None and v >= cap else v
     if is_successor(a):
         b = predecessor(a)
         v = 1
         for _ in range(x):
-            v = _eval(b, v, counter)
+            v = _eval(b, v, counter, cap)
+            if v is _INF:
+                return _INF
         return v
-    return _eval(fundamental_sequence(a, x), x, counter)
+    return _eval(fundamental_sequence(a, x), x, counter, cap)
 
 
 def _level(alpha, x: int, budget: int) -> Optional[OrdinalCNF]:
@@ -105,66 +113,42 @@ def _level(alpha, x: int, budget: int) -> Optional[OrdinalCNF]:
     return clock_index_ordinal(x)
 
 
-def fgh_eval(alpha, x: int, budget: int) -> EvalOutcome:
-    """F_alpha(x) for an ordinal or EPS0, or Overflow when more than budget
-    evaluator calls are needed.  Interpreter stack exhaustion on deep descents
-    counts as running out too: evaluation must stay total for arbitrary
-    (crafted) levels.  A negative x is a ValueError."""
+def _run(alpha, x: int, budget: int, cap: Optional[int] = None):
+    """(F_alpha(x), calls used), the value capped to _INF at cap when a cap
+    is given, or None when more than budget evaluator calls are needed.
+    Interpreter stack exhaustion on deep descents counts as running out too:
+    evaluation must stay total for arbitrary (crafted) levels.  A negative x
+    is a ValueError."""
     if x < 0:
         raise ValueError("argument must be >= 0")
     level = _level(alpha, x, budget)
     if level is None:
-        return Overflow(budget)
+        return None
     counter = _Counter(budget)
     try:
-        v = _eval(level, x, counter)
+        return _eval(level, x, counter, cap), counter.used
     except (_BudgetOut, RecursionError):
-        return Overflow(budget)
-    return Value(v, counter.used)
+        return None
 
 
-def _eval_capped(a: OrdinalCNF, x, counter: _Counter, threshold: int):
-    # x is an exact int or _INF ("known >= threshold").  Sound because every
-    # F_g with g >= 1 satisfies F_g(v) >= v, and F_0 is never iterated here:
-    # the successor clause only unfolds for a >= 2, whose predecessor is >= 1.
-    counter.tick()
-    if a == ZERO:
-        return 0
-    if a == ONE:
-        if x is _INF:
-            return _INF
-        v = 2 * x
-        return _INF if v >= threshold else v
-    if x is _INF:
-        return _INF
-    if is_successor(a):
-        b = predecessor(a)
-        v = 1
-        for _ in range(x):
-            v = _eval_capped(b, v, counter, threshold)
-            if v is _INF:
-                return _INF
-        return v
-    return _eval_capped(fundamental_sequence(a, x), x, counter, threshold)
+def fgh_eval(alpha, x: int, budget: int) -> EvalOutcome:
+    """F_alpha(x) for an ordinal or EPS0, or Overflow when more than budget
+    evaluator calls are needed.  A negative x is a ValueError."""
+    got = _run(alpha, x, budget)
+    return Overflow(budget) if got is None else Value(*got)
 
 
 def fgh_at_least(alpha, x: int, threshold: int, budget: int):
     """True when F_alpha(x) >= threshold is certified, False when the exact
-    value was computed below it, UNKNOWN when the budget died first.  A
-    negative x is a ValueError, whatever the threshold."""
-    if x < 0:
-        raise ValueError("argument must be >= 0")
-    if threshold <= 0:
+    value was computed below it, UNKNOWN when the budget died first.  This is
+    fgh_eval's evaluator run with values capped at the threshold.  A negative
+    x is a ValueError, whatever the threshold."""
+    if threshold <= 0 <= x:
         return True
-    level = _level(alpha, x, budget)
-    if level is None:
+    got = _run(alpha, x, budget, threshold)
+    if got is None:
         return UNKNOWN
-    counter = _Counter(budget)
-    try:
-        v = _eval_capped(level, x, counter, threshold)
-    except (_BudgetOut, RecursionError):
-        return UNKNOWN
-    return True if v is _INF else v >= threshold
+    return got[0] is _INF or got[0] >= threshold
 
 
 # --- function descriptors -------------------------------------------------

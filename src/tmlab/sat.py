@@ -174,20 +174,26 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(tuple(clauses), num_vars)
 
 
-def _satisfies(f: CnfFormula, assignment: str) -> bool:
-    # assignment[v-1] is the value of variable v
+def _satisfies(f: CnfFormula, assignment: str) -> tuple:
+    """(1 iff the assignment satisfies f, literals looked at): each clause is
+    scanned up to its first true literal, and the scan stops at the first
+    clause without one.  assignment[v-1] is the value of variable v."""
+    looked = 0
     for clause in f.clauses:
-        if not any(assignment[var - 1] == ("1" if positive else "0")
-                   for var, positive in clause):
-            return False
-    return True
+        for var, positive in clause:
+            looked += 1
+            if assignment[var - 1] == ("1" if positive else "0"):
+                break
+        else:
+            return 0, looked
+    return 1, looked
 
 
 def _check(f: CnfFormula, assignment: str) -> int:
     """1 iff the assignment word has exactly f's variable count and satisfies f."""
     if len(assignment) != f.num_vars:
         return 0
-    return 1 if _satisfies(f, assignment) else 0
+    return _satisfies(f, assignment)[0]
 
 
 def _formula_or_none(word: str) -> Optional[CnfFormula]:
@@ -200,9 +206,7 @@ def _formula_or_none(word: str) -> Optional[CnfFormula]:
 def verify(z: int) -> int:
     """1 iff position z = pair(x, y) pairs a well-formed formula word with an
     assignment word of exactly matching length that satisfies it."""
-    x, y = unpair(z)
-    f = _formula_or_none(index_word(x))
-    return 0 if f is None else _check(f, index_word(y))
+    return verify_cost(z)[0]
 
 
 def verify_cost(z: int) -> tuple:
@@ -211,24 +215,11 @@ def verify_cost(z: int) -> tuple:
     x, y = unpair(z)
     wx, wy = index_word(x), index_word(y)
     ops = len(wx) + len(wy) + 1
-    try:
-        f = decode_cnf(wx)
-    except MalformedCnf:
+    f = _formula_or_none(wx)
+    if f is None or len(wy) != f.num_vars:
         return 0, ops
-    if len(wy) != f.num_vars:
-        return 0, ops
-    bit = 1
-    for clause in f.clauses:
-        hit = False
-        for var, positive in clause:
-            ops += 1
-            if wy[var - 1] == ("1" if positive else "0"):
-                hit = True
-                break
-        if not hit:
-            bit = 0
-            break
-    return bit, ops
+    bit, looked = _satisfies(f, wy)
+    return bit, ops + looked
 
 
 def solve_E(x: int) -> int:
@@ -241,7 +232,7 @@ def solve_E(x: int) -> int:
     n = f.num_vars
     for value in range(1 << n):
         assignment = format(value, "b").zfill(n) if n else ""
-        if _satisfies(f, assignment):
+        if _satisfies(f, assignment)[0]:
             return word_index(assignment)
     return 0
 

@@ -278,15 +278,10 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("argv, outcome", [
-    (["ord-eval", "eps0", "3000000"], {"kind": "overflow", "budget": 10000}),
-    (["ord-eval", "eps0", "30000000"], {"kind": "overflow", "budget": 10000}),
-    # a sigma word whose eps0 clock has k = 4,533,791,592
-    (["tm-decode", "133118694020816"], {"kind": "table", "rules": 0, "text": ""}),
-])
-def test_eps0_levels_past_budget_answer_at_once(argv, outcome):
-    # in a child capped at 1 GB of address space and 10 s, so that building
-    # the k-high omega tower fails the test instead of swapping
+def _child_outcome(argv):
+    """The outcome of one tmlab invocation in a child capped at 1 GB of
+    address space and 10 s, so that a runaway build fails the test instead
+    of swapping or stalling the suite."""
     src = str(Path(tmlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("CLOCKWORK_BUDGET", None)
@@ -295,7 +290,26 @@ def test_eps0_levels_past_budget_answer_at_once(argv, outcome):
                          preexec_fn=_limit_memory)
     assert got.returncode == 0, got.stderr
     (line,) = got.stdout.splitlines()
-    assert json.loads(line)["outcome"] == outcome
+    return json.loads(line)["outcome"]
+
+
+@pytest.mark.parametrize("argv, outcome", [
+    (["ord-eval", "eps0", "3000000"], {"kind": "overflow", "budget": 10000}),
+    (["ord-eval", "eps0", "30000000"], {"kind": "overflow", "budget": 10000}),
+    # a sigma word whose eps0 clock has k = 4,533,791,592
+    (["tm-decode", "133118694020816"], {"kind": "table", "rules": 0, "text": ""}),
+])
+def test_eps0_levels_past_budget_answer_at_once(argv, outcome):
+    # building the k-high omega tower would blow the child's memory cap
+    assert _child_outcome(argv) == outcome
+
+
+def test_family_word_past_decode_budget_answers_at_once():
+    # family word: level 3, n = 8, width 16.  F_3(8) is past the decoder's
+    # 10^4-call budget, so the word decodes to the trivial machine without
+    # first running the evaluator up to the build budget of 10^6 calls
+    assert _child_outcome(["tm-decode", "14362371173212"]) \
+        == {"kind": "table", "rules": 0, "text": ""}
 
 
 def test_registry_file_is_written(tmp_path, capsys):
