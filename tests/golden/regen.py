@@ -185,6 +185,9 @@ CASES = [
     case("dominate", "fgh:2", "fgh:1", "--lo", "-3", "--hi", "2"),
     case("dominate", "fgh:2", "fgh:1", "--lo", "5", "--hi", "2"),
     case("dominate", "bogus", "fgh:1", "--lo", "0", "--hi", "1"),
+    case("dominate", "fgh:eps0", "fgh:1", "--lo", "0", "--hi", "1"),
+    case("dominate", "eps0@x", "fgh:1", "--lo", "0", "--hi", "1"),
+    case("dominate", "fgh:2@", "fgh:1", "--lo", "0", "--hi", "1"),
     case("dominate", "fgh:2", "fgh:1"),
     # qfam-build
     case("qfam-build", "1", "1", "--no-registry"),

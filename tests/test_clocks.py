@@ -97,6 +97,17 @@ def test_parse_clock_rejects_garbage():
             parse_clock(bad)
 
 
+def test_clock_level_grammar_pins():
+    # a clock's level is ordinal text or eps0, the same level syntax the CLI reads
+    assert parse_clock("fgh:eps0:1") == Parametrized("eps0", 1)
+    assert format_clock(parse_clock("fgh:eps0:1")) == "fgh:eps0:1"
+    for bad, message in [("fgh:eps0", "expected fgh:ALPHA:K in 'fgh:eps0'"),
+                         ("fgh:eps1:1", "expected ordinal at 0 in 'eps1'")]:
+        with pytest.raises(ValueError) as info:
+            parse_clock(bad)
+        assert str(info.value) == message
+
+
 def test_compose_exponent_pin():
     p = compose(ClockedMachine(trivial_machine(), PlainPoly(1)),
                 ClockedMachine(trivial_machine(), PlainPoly(2)))

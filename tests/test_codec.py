@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_table
 from tmlab import codec
@@ -19,7 +20,7 @@ from tmlab.codec import (
     sigma_embed,
 )
 from tmlab.families import build_q_table
-from tmlab.machines import MachineTable, Rule, trivial_machine
+from tmlab.machines import BLANK, MOVES, MachineTable, Rule, trivial_machine
 from tmlab.ordinals import ord_parse
 from tmlab.words import index_word, word_index
 
@@ -185,3 +186,36 @@ def test_family_word_field_validation():
         family_word_bits(ORD1, 0, 0)
     with pytest.raises(ValueError):
         family_word_bits(ORD1, 256, 8)
+
+
+_SYMBOL = st.sampled_from(("0", "1", BLANK))
+_RULE = st.tuples(st.integers(1, 9), _SYMBOL, st.integers(0, 9), _SYMBOL,
+                  st.sampled_from(MOVES))
+
+
+@st.composite
+def _near_table_texts(draw):
+    """table_text of a random table, then at most one near-miss edit: a
+    doubled space, a leading zero, an empty line or no final newline."""
+    rules = draw(st.lists(_RULE, max_size=6, unique_by=lambda r: r[:2]))
+    text = codec.table_text(MachineTable(tuple(Rule(*r) for r in rules)))
+    edit = draw(st.sampled_from(("none", "space", "zero", "empty line", "no newline")))
+    if edit == "no newline":
+        return text[:-1]
+    spots = {"space": [i for i, c in enumerate(text) if c == " "],
+             "zero": [i for i, c in enumerate(text) if c in "01"],
+             "empty line": [i + 1 for i, c in enumerate(text) if c == "\n"] + [0]}.get(edit)
+    if not spots:
+        return text
+    i = draw(st.sampled_from(spots))
+    insert = {"space": " ", "zero": "0", "empty line": "\n"}[edit]
+    return text[:i] + insert + text[i:]
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.one_of(_near_table_texts(), st.text(alphabet=codec._CHARS, max_size=40)))
+def test_table_text_parser_accepts_only_its_image(text):
+    # recognition relies on this: a text the strict parser accepts is exactly
+    # table_text of the parsed table, so no re-serialization check is needed
+    table = codec._parse_table_text(text)
+    assert table is None or codec.table_text(table) == text

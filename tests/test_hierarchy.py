@@ -25,7 +25,8 @@ from tmlab.hierarchy import (
     parse_fn_descriptor,
     poly_eval,
 )
-from tmlab.ordinals import OrdinalCNF, clock_index_ordinal, from_nat, ord_compare, ord_parse
+from tmlab.ordinals import (OrdinalCNF, ParseError, clock_index_ordinal, from_nat, ord_compare,
+                            ord_parse)
 
 BIG = 10 ** 6
 
@@ -228,6 +229,22 @@ def test_descriptor_rejects_garbage():
     for bad in ["", "fgh:", "poly:1", "table:", "fgh:w@poly:"]:
         with pytest.raises(ValueError):
             parse_fn_descriptor(bad)
+
+
+def test_descriptor_level_grammar_pins():
+    # eps0 is a bare descriptor; after "fgh:" only ordinal text is a level
+    for text in ["eps0", "eps0@poly:0,1", "fgh:2@poly:0,1"]:
+        assert format_fn_descriptor(parse_fn_descriptor(text)) == text
+    assert fn_eval(parse_fn_descriptor("eps0@poly:0,1"), 2, BIG) == 4
+    assert fn_eval(parse_fn_descriptor("fgh:2@poly:0,1"), 3, BIG) == 8  # 2^3
+    for bad, kind, message in [
+        ("fgh:eps0", ParseError, "expected ordinal at 0 in 'eps0'"),
+        ("eps0@x", ValueError, "unknown function descriptor 'eps0@x'"),
+        ("fgh:2@", ValueError, "expected poly:c0,c1,... in ''"),
+    ]:
+        with pytest.raises(kind) as info:
+            parse_fn_descriptor(bad)
+        assert str(info.value) == message
 
 
 def test_fn_eval_variants():
