@@ -20,8 +20,8 @@ from .clocks import (BudgetExceeded, ClockedMachine, clock_bound, clocked_run,
 from .codec import ClockedTable, InvalidPair, decode_index, encode_table
 from .families import (BuildOverflow, build_Q, clock_stride_analysis, differences,
                        p_index, peak_probe, stride_analysis)
-from .hierarchy import (EPS0, FailsAt, Holds, Value, dominates_on_window, fgh_eval,
-                        parse_fn_descriptor)
+from .hierarchy import (FailsAt, Holds, Value, dominates_on_window, fgh_eval,
+                        parse_fn_descriptor, parse_level)
 from .machines import Halted, InvalidTable, format_tm_text, parse_tm_text, run
 from .ordinals import NotLimit, ParseError, fundamental_sequence, ord_format, ord_parse
 from .registry import FRegistry
@@ -66,10 +66,6 @@ def _check_word(s: str) -> str:
 def _load_table(path: str):
     with open(path) as f:
         return parse_tm_text(f.read())
-
-
-def _alpha_arg(text: str):
-    return EPS0 if text == EPS0 else ord_parse(text)
 
 
 def _registry(args):
@@ -186,7 +182,7 @@ def _cmd_fna_search(args):
 
 
 def _cmd_ord_eval(args):
-    alpha = _alpha_arg(args.alpha)
+    alpha = parse_level(args.alpha)
     budget = _budget(args)
     got = fgh_eval(alpha, args.x, budget)
     inputs = {"alpha": args.alpha, "x": args.x, "budget": budget}
@@ -218,7 +214,7 @@ def _cmd_dominate(args):
 
 
 def _cmd_qfam_build(args):
-    alpha = _alpha_arg(args.alpha)
+    alpha = parse_level(args.alpha)
     inputs = {"alpha": args.alpha, "n": args.n, "width": args.width}
     try:
         table, godel, spec = build_Q(alpha, args.n, args.width,
@@ -232,7 +228,7 @@ def _cmd_qfam_build(args):
 
 
 def _cmd_qfam_stride(args):
-    alpha = _alpha_arg(args.alpha)
+    alpha = parse_level(args.alpha)
     ns = range(args.n0, args.n0 + args.count)
     inputs = {"alpha": args.alpha, "n0": args.n0, "count": args.count,
               "width": args.width}
@@ -256,7 +252,7 @@ def _cmd_qfam_stride(args):
 
 
 def _cmd_qfam_peaks(args):
-    alpha = _alpha_arg(args.alpha)
+    alpha = parse_level(args.alpha)
     budget = _budget(args)
     registry = _registry(args)
     for n in range(args.n0, args.n0 + args.count):

@@ -9,9 +9,9 @@ ones.  A run cut by its clock outputs the one-character word "0".
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
-from .hierarchy import EPS0, Value, fgh_eval
+from .hierarchy import EPS0, Value, fgh_eval, format_level, parse_level
 from .machines import Halted, MachineTable, run
-from .ordinals import OrdinalCNF, ord_format, ord_parse
+from .ordinals import OrdinalCNF
 
 DEFAULT_EVAL_BUDGET = 10**6
 
@@ -50,10 +50,8 @@ class Parametrized:
             raise ValueError("alpha must be an OrdinalCNF or %r" % EPS0)
         out = fgh_eval(self.alpha, self.k, self.eval_budget)
         if not isinstance(out, Value):
-            raise BudgetExceeded(
-                "F_%s(%d) not evaluable within %d calls"
-                % (self.alpha if self.alpha == EPS0 else ord_format(self.alpha),
-                   self.k, self.eval_budget))
+            raise BudgetExceeded("F_%s(%d) not evaluable within %d calls"
+                                 % (format_level(self.alpha), self.k, self.eval_budget))
         object.__setattr__(self, "exponent", out.value)
 
 
@@ -73,16 +71,14 @@ def parse_clock(text: str) -> ClockSpec:
         body, _, k = text[len("fgh:"):].rpartition(":")
         if not body:
             raise ValueError("expected fgh:ALPHA:K in %r" % text)
-        alpha = EPS0 if body == EPS0 else ord_parse(body)
-        return Parametrized(alpha, int(k))
+        return Parametrized(parse_level(body), int(k))
     raise ValueError("unknown clock syntax %r" % text)
 
 
 def format_clock(clock: ClockSpec) -> str:
     if isinstance(clock, PlainPoly):
         return "poly:%d" % clock.p
-    alpha = clock.alpha if clock.alpha == EPS0 else ord_format(clock.alpha)
-    return "fgh:%s:%d" % (alpha, clock.k)
+    return "fgh:%s:%d" % (format_level(clock.alpha), clock.k)
 
 
 @dataclass(frozen=True)

@@ -55,12 +55,9 @@ class InvalidPair(ValueError):
 
 
 @dataclass(frozen=True)
-class ClockedTable:
+class ClockedTable(ClockedMachine):
     """Decoded sigma word: a machine table together with its embedded clock.
-    Running it means running the machine under the clock's semantics."""
-
-    machine: MachineTable
-    clock: ClockSpec
+    It runs as it is, under the clock's semantics."""
 
 
 # --- plain table text -------------------------------------------------------
@@ -228,12 +225,17 @@ def _read_clockspec(bits: str, pos: int):
 DECODE_EVAL_BUDGET = 10 ** 4
 
 
-def _materialize_clockspec(spec) -> ClockSpec:
-    if spec[0] == "poly":
-        return PlainPoly(spec[1])
-    _, alpha, k, width = spec
-    # may raise BudgetExceeded
-    return Parametrized(alpha, k, width, eval_budget=DECODE_EVAL_BUDGET)
+def clocked_pair(machine: MachineTable, spec) -> Union[ClockedTable, MachineTable]:
+    """The machine under the clock of _read_clockspec's fields, materialized
+    at the decoder's budget; the trivial machine when it is out of reach."""
+    try:
+        if spec[0] == "poly":
+            return ClockedTable(machine, PlainPoly(spec[1]))
+        _, alpha, k, width = spec
+        return ClockedTable(machine, Parametrized(alpha, k, width,
+                                                  eval_budget=DECODE_EVAL_BUDGET))
+    except BudgetExceeded:
+        return trivial_machine()  # clock exponent out of desk reach
 
 
 def clock_word_bits(c: ClockSpec) -> str:
@@ -292,7 +294,7 @@ def sigma_embed(p: ClockedMachine) -> int:
     prefix, then the machine block.  Injective on pairs."""
     if isinstance(p.machine, _Composite):
         raise InvalidPair("composed machines have no flat code word")
-    if isinstance(p.machine, ClockedTable) or not isinstance(p.machine, MachineTable):
+    if not isinstance(p.machine, MachineTable):
         raise InvalidPair("machine part must be a plain table")
     if not isinstance(p.clock, (PlainPoly, Parametrized)):
         raise InvalidPair("clock part must be a clock spec")
@@ -309,51 +311,36 @@ def _split_sigma(bits: str):
     return got[0], bits[got[1]:]
 
 
-def _valid_machine_block(tail: str) -> bool:
-    if tail == "":
-        return True  # trivial machine
-    if tail.startswith(TAG_FAMILY):
-        return _read_family(tail) is not None
-    text = _unpack(tail)
-    if text is None:
-        return False
-    t = _parse_table_text(text)
-    return t is not None and _pack(table_text(t)) == tail
+def _machine_block(bits: str):
+    """Strict parse of a machine block: the parsed table of a table text (the
+    empty block is the trivial machine), the (alpha, n, width) fields of a
+    family word, or None.  Builds nothing, so recognition needs no budget.
+    The parser accepts only table_text's image, so no re-packing check."""
+    if bits.startswith(TAG_FAMILY):
+        return _read_family(bits)
+    text = _unpack(bits)
+    return None if text is None else _parse_table_text(text)
 
 
 def is_sigma_image(i: int) -> bool:
     """Recognize the recursive image of the pair embedding, syntactically."""
     got = _split_sigma(index_word(i))
-    return got is not None and _valid_machine_block(got[1])
-
-
-def _decode_machine_block(tail: str) -> Optional[MachineTable]:
-    if tail == "":
-        return trivial_machine()
-    if tail.startswith(TAG_FAMILY):
-        fields = _read_family(tail)
-        return _family_table(*fields) if fields else None
-    text = _unpack(tail)
-    if text is None:
-        return None
-    table = _parse_table_text(text)
-    return table.canonical() if table is not None else None
+    return got is not None and _machine_block(got[1]) is not None
 
 
 def decode_index(i: int) -> Union[MachineTable, ClockedTable]:
     """Total: every position names a machine; garbage falls back to trivial."""
     bits = index_word(i)
+    spec = None
     if bits.startswith(TAG_SIGMA):
         got = _split_sigma(bits)
-        machine = None if got is None else _decode_machine_block(got[1])
-        if machine is None:
+        if got is None:
             return trivial_machine()
-        try:
-            clock = _materialize_clockspec(got[0])
-        except BudgetExceeded:
-            return trivial_machine()  # clock exponent out of desk reach
-        return ClockedTable(machine, clock)
-    if bits.startswith(TAG_CLOCK):
+        spec, bits = got
+    elif bits.startswith(TAG_CLOCK):
         return trivial_machine()  # clock words name clocks, not runnable tables
-    machine = _decode_machine_block(bits)  # a family word or a table text
-    return trivial_machine() if machine is None else machine
+    block = _machine_block(bits)  # a family word or a table text
+    if block is None:
+        return trivial_machine()
+    machine = _family_table(*block) if isinstance(block, tuple) else block.canonical()
+    return machine if spec is None else clocked_pair(machine, spec)

@@ -19,10 +19,9 @@ built, at most DESK_THRESHOLD_BOUND + 1 entries at the default bound.
 from dataclasses import dataclass
 from typing import Optional
 
-from . import codec
-from .clocks import DEFAULT_EVAL_BUDGET, BudgetExceeded, ClockedMachine, Parametrized
-from .codec import ClockedTable, clock_index, family_index, sigma_embed
-from .machines import BLANK, Halted, MachineTable, Rule, run, trivial_machine
+from .clocks import DEFAULT_EVAL_BUDGET, ClockedMachine, Parametrized
+from .codec import clock_index, clocked_pair, family_index, sigma_embed
+from .machines import BLANK, Halted, MachineTable, Rule, run
 from .registry import FRegistry, register
 from .sat import Found, runner_for, scan, solve_E
 from .words import index_word, pair, proj1
@@ -40,13 +39,9 @@ class BuildOverflow(Exception):
 
 
 @dataclass(frozen=True)
-class DispatchTable(MachineTable):
+class QTable(MachineTable):
     threshold: int = 0  # in-range positions are 0..threshold
     worst_steps: int = 0  # over in-range inputs, pinned by the self-check
-
-
-@dataclass(frozen=True)
-class QTable(DispatchTable):
     alpha: object = None  # OrdinalCNF or the epsilon-0 tag
     n: int = 0
     width: int = 16
@@ -215,13 +210,8 @@ def peak_probe(alpha, n: int, width: int = 16,
     table, _, spec = build_Q(alpha, n, width, registry=registry)
     sigma = sigma_embed(ClockedMachine(table, Parametrized(alpha, n, width)))
     register(sigma, registry)
-    # search the member just built, as decode_index(sigma) would produce it:
-    # the same table under the clock materialized at the decoder's budget
-    try:
-        decoded = ClockedTable(table, Parametrized(
-            alpha, n, width, eval_budget=codec.DECODE_EVAL_BUDGET))
-    except BudgetExceeded:
-        decoded = trivial_machine()  # the decoder's fallback for that clock
+    # search the member just built, as decode_index(sigma) would produce it
+    decoded = clocked_pair(table, ("fgh", alpha, n, width))
     outcome = scan(runner_for(decoded, sigma, fuel), budget)
     first = proj1(outcome.witness) if isinstance(outcome, Found) else None
     return PeakResult(sigma, outcome, spec.threshold, first)

@@ -42,6 +42,15 @@ EvalOutcome = Union[Value, Overflow]
 EPS0 = "eps0"  # the diagonal level: F_eps0(x) = F_{tau(x)}(x)
 
 
+def parse_level(text: str):
+    """Level syntax: ordinal text, or eps0 for the diagonal."""
+    return EPS0 if text == EPS0 else ord_parse(text)
+
+
+def format_level(alpha) -> str:
+    return EPS0 if alpha == EPS0 else ord_format(alpha)
+
+
 class _BudgetOut(Exception):
     pass
 
@@ -155,7 +164,8 @@ def fgh_at_least(alpha, x: int, threshold: int, budget: int):
 #
 # Text forms: "fgh:w^w", "fgh:2@poly:0,0,1" (argument pre-composed with a
 # polynomial, constant term first), "table:0,2,4,6", "eps0" (the diagonal
-# F_{tau(x)}(x) over the omega towers tau).
+# F_{tau(x)}(x) over the omega towers tau, also "eps0@poly:...").  Only
+# ordinal text follows "fgh:"; the diagonal is written bare.
 
 def poly_eval(coeffs: tuple, x: int) -> int:
     return sum(c * x**i for i, c in enumerate(coeffs))
@@ -169,7 +179,7 @@ def _check_poly(coeffs):
 
 @dataclass(frozen=True)
 class FghFn:
-    alpha: OrdinalCNF
+    alpha: Union[OrdinalCNF, str]  # an ordinal, or EPS0 for the diagonal
     poly: Optional[tuple] = None
 
 
@@ -178,28 +188,20 @@ class TableFn:
     values: tuple
 
 
-@dataclass(frozen=True)
-class Eps0Fn:
-    poly: Optional[tuple] = None
-
-
-FnDescriptor = Union[FghFn, TableFn, Eps0Fn]
+FnDescriptor = Union[FghFn, TableFn]
 
 
 def parse_fn_descriptor(s: str) -> FnDescriptor:
-    if s == EPS0:
-        return Eps0Fn()
-    if s.startswith("eps0@poly:"):
-        return Eps0Fn(_parse_poly(s[len("eps0@"):]))
-    if s.startswith("fgh:"):
-        body = s[len("fgh:"):]
-        if "@" in body:
-            ord_text, poly_text = body.split("@", 1)
-            return FghFn(ord_parse(ord_text), _parse_poly(poly_text))
-        return FghFn(ord_parse(body))
     if s.startswith("table:"):
         return TableFn(tuple(int(v) for v in s[len("table:"):].split(",")))
-    raise ValueError("unknown function descriptor %r" % s)
+    level, at, poly = s.partition("@")
+    if level.startswith("fgh:"):
+        alpha = ord_parse(level[len("fgh:"):])
+    elif level == EPS0 and (not at or poly.startswith("poly:")):
+        alpha = EPS0
+    else:
+        raise ValueError("unknown function descriptor %r" % s)
+    return FghFn(alpha, _parse_poly(poly) if at else None)
 
 
 def _parse_poly(s: str) -> tuple:
@@ -209,26 +211,23 @@ def _parse_poly(s: str) -> tuple:
 
 
 def format_fn_descriptor(d: FnDescriptor) -> str:
-    poly = getattr(d, "poly", None)
-    suffix = "@poly:%s" % ",".join(str(c) for c in poly) if poly else ""
-    if isinstance(d, Eps0Fn):
-        return "eps0" + suffix
-    if isinstance(d, FghFn):
-        return "fgh:%s%s" % (ord_format(d.alpha), suffix)
-    return "table:%s" % ",".join(str(v) for v in d.values)
+    if isinstance(d, TableFn):
+        return "table:%s" % ",".join(str(v) for v in d.values)
+    level = format_level(d.alpha)
+    if d.alpha != EPS0:
+        level = "fgh:" + level
+    return level + ("@poly:%s" % ",".join(str(c) for c in d.poly) if d.poly else "")
 
 
-def _argument(d, x: int) -> int:
-    poly = getattr(d, "poly", None)
-    return poly_eval(poly, x) if poly else x
+def _argument(d: FghFn, x: int) -> int:
+    return poly_eval(d.poly, x) if d.poly else x
 
 
 def fn_eval(d: FnDescriptor, x: int, budget: int) -> Optional[int]:
     """Exact value of the described function, or None when not evaluable."""
     if isinstance(d, TableFn):
         return d.values[x] if 0 <= x < len(d.values) else None
-    alpha = EPS0 if isinstance(d, Eps0Fn) else d.alpha
-    out = fgh_eval(alpha, _argument(d, x), budget)
+    out = fgh_eval(d.alpha, _argument(d, x), budget)
     return out.value if isinstance(out, Value) else None
 
 
@@ -238,8 +237,7 @@ def fn_at_least(d: FnDescriptor, x: int, threshold: int, budget: int):
         if not 0 <= x < len(d.values):
             return UNKNOWN
         return d.values[x] >= threshold
-    alpha = EPS0 if isinstance(d, Eps0Fn) else d.alpha
-    return fgh_at_least(alpha, _argument(d, x), threshold, budget)
+    return fgh_at_least(d.alpha, _argument(d, x), threshold, budget)
 
 
 # --- window domination ----------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .clocks import ClockedMachine, clocked_run
-from .codec import ClockedTable, decode_index, is_sigma_image
+from .codec import decode_index, is_sigma_image
 from .machines import OutOfFuel, run
 from .registry import registered
 from .words import index_word, pair, proj1, unpair, word_index
@@ -245,11 +245,10 @@ def _as_runner(m: int, fuel: int):
 
 def runner_for(decoded, m: int, fuel: int):
     """The word->word function of decode_index(m)'s result `decoded`."""
-    if isinstance(decoded, ClockedTable):
-        p = ClockedMachine(decoded.machine, decoded.clock)
+    if isinstance(decoded, ClockedMachine):
 
         def run_clocked(word: str) -> str:
-            return clocked_run(p, word).output
+            return clocked_run(decoded, word).output
 
         return run_clocked
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from tmlab.hierarchy import (
     EPS0,
     UNKNOWN,
-    Eps0Fn,
     FailsAt,
     FghFn,
     Holds,
@@ -253,7 +252,7 @@ def test_fn_eval_variants():
     assert fn_eval(FghFn(_nat(2)), 4, BIG) == 16
     assert fn_eval(FghFn(_nat(1), poly=(0, 0, 1)), 3, BIG) == 18  # F_1(3^2)
     assert fn_eval(FghFn(_nat(3)), 8, 10 ** 4) is None  # overflow
-    assert fn_eval(Eps0Fn(), 2, BIG) == 4  # diagonal at 2, like every level >= 2
+    assert fn_eval(FghFn(EPS0), 2, BIG) == 4  # diagonal at 2, like every level >= 2
 
 
 def test_eps0_depth_shortcut_matches_plain_evaluation():
@@ -263,11 +262,11 @@ def test_eps0_depth_shortcut_matches_plain_evaluation():
         tower = clock_index_ordinal(k)
         for budget in range(0, 11):
             assert fgh_eval(EPS0, k, budget) == fgh_eval(tower, k, budget)
-            assert fn_eval(Eps0Fn(), k, budget) == fn_eval(FghFn(tower), k, budget)
+            assert fn_eval(FghFn(EPS0), k, budget) == fn_eval(FghFn(tower), k, budget)
             for threshold in (0, 1, 2, 3, 5, 100):
                 assert (fgh_at_least(EPS0, k, threshold, budget)
                         is fgh_at_least(tower, k, threshold, budget))
-                assert (fn_at_least(Eps0Fn(), k, threshold, budget)
+                assert (fn_at_least(FghFn(EPS0), k, threshold, budget)
                         is fn_at_least(FghFn(tower), k, threshold, budget))
     # the bound is tight at k = 1: three calls settle it, two do not
     assert fgh_eval(EPS0, 1, 3) == Value(2, 3)
@@ -280,7 +279,7 @@ def test_eps0_level_beyond_budget_builds_no_tower():
     assert fgh_eval(EPS0, k, 10 ** 4) == Overflow(10 ** 4)
     assert fgh_at_least(EPS0, k, 5, 10 ** 4) is UNKNOWN
     assert fgh_at_least(EPS0, k, 0, 10 ** 4) is True
-    assert fn_eval(Eps0Fn(), k, 10 ** 4) is None
+    assert fn_eval(FghFn(EPS0), k, 10 ** 4) is None
 
 
 def test_fn_at_least_variants():
