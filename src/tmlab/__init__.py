@@ -67,7 +67,6 @@ from .sat import (
     encode_cnf,
     f_neg_A,
     f_prime,
-    neg_A,
     parse_dimacs,
     solve_E,
     verify,
@@ -80,7 +79,6 @@ from .families import (
     build_Q,
     build_q_table,
     clock_stride_analysis,
-    p_index,
     peak_probe,
     stride_analysis,
 )

@@ -19,7 +19,7 @@ from .clocks import (BudgetExceeded, ClockedMachine, clock_bound, clocked_run,
                      format_clock, parse_clock)
 from .codec import ClockedTable, InvalidPair, decode_index, encode_table
 from .families import (BuildOverflow, build_Q, clock_stride_analysis, differences,
-                       p_index, peak_probe, stride_analysis)
+                       peak_probe, stride_analysis)
 from .hierarchy import (FailsAt, Holds, Value, dominates_on_window, fgh_eval,
                         parse_fn_descriptor, parse_level)
 from .machines import Halted, InvalidTable, format_tm_text, parse_tm_text, run
@@ -242,7 +242,7 @@ def _cmd_qfam_stride(args):
         yield inputs, {"kind": "stride", "role": role,
                        "indices": list(report.indices), "base": report.base,
                        "stride": report.stride}, {}
-    pairs = [p_index(m, c) for m, c in zip(machines.indices, clocks.indices)]
+    pairs = [pair(m, c) for m, c in zip(machines.indices, clocks.indices)]
     second = differences(differences(pairs))
     third = differences(second)
     yield inputs, {"kind": "quadratic", "role": "pair", "indices": pairs,

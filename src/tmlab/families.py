@@ -24,7 +24,7 @@ from .codec import clock_index, clocked_pair, family_index, sigma_embed
 from .machines import BLANK, Halted, MachineTable, Rule, run
 from .registry import FRegistry, register
 from .sat import Found, runner_for, scan, solve_E
-from .words import index_word, pair, proj1
+from .words import index_word, proj1
 
 DESK_THRESHOLD_BOUND = 1 << 12  # largest table we agree to materialize
 
@@ -129,13 +129,12 @@ def _measure(table: MachineTable, entries) -> None:
 
 
 def build_q_table(alpha, n: int, width: int = 16,
-                  eval_budget: int = DEFAULT_EVAL_BUDGET,
-                  corpus_bound: int = DESK_THRESHOLD_BOUND) -> QTable:
+                  eval_budget: int = DEFAULT_EVAL_BUDGET) -> QTable:
     """The n-th member for level alpha: answers the brute-force solver for
     positions up to F_alpha(n), then the default.  Pure build, no registration."""
     clock = Parametrized(alpha, n, width, eval_budget=eval_budget)  # BudgetExceeded if huge
     threshold = clock.exponent
-    if threshold > corpus_bound:
+    if threshold > DESK_THRESHOLD_BOUND:
         raise BuildOverflow("threshold F_alpha(%d) = %d is out of desk reach"
                             % (n, threshold))
     global _desk
@@ -159,22 +158,14 @@ def build_q_table(alpha, n: int, width: int = 16,
     return table
 
 
-def build_Q(alpha, n: int, width: int = 16,
-            eval_budget: int = DEFAULT_EVAL_BUDGET,
-            corpus_bound: int = DESK_THRESHOLD_BOUND,
-            registry: Optional[FRegistry] = None):
+def build_Q(alpha, n: int, width: int = 16, registry: Optional[FRegistry] = None):
     """Build the family member, register its family-word index, and return
     (table, index, spec)."""
-    table = build_q_table(alpha, n, width, eval_budget, corpus_bound)
+    table = build_q_table(alpha, n, width)
     godel = family_index(alpha, n, width)
     register(godel, registry)
     spec = QSpec(alpha, n, table.threshold, width)
     return table, godel, spec
-
-
-def p_index(machine_index: int, clock_idx: int) -> int:
-    """Paired position of a (machine, clock) combination."""
-    return pair(machine_index, clock_idx)
 
 
 def differences(seq):

@@ -49,15 +49,6 @@ def from_nat(k: int) -> OrdinalCNF:
     return ZERO if k == 0 else OrdinalCNF(((ZERO, k),))
 
 
-def as_nat(a: OrdinalCNF):
-    """The natural number a denotes, or None when a >= w."""
-    if not a.terms:
-        return 0
-    if len(a.terms) == 1 and a.terms[0][0] == ZERO:
-        return a.terms[0][1]
-    return None
-
-
 def omega_power(e: OrdinalCNF) -> OrdinalCNF:
     return OrdinalCNF(((e, 1),))
 

@@ -33,10 +33,6 @@ def clear() -> None:
     _members.clear()
 
 
-def members() -> frozenset:
-    return frozenset(_members)
-
-
 class FRegistry:
     """Durable registry: header line, then one decimal index per line.
     Writes go through a unique temp file and rename, so readers never see a

@@ -17,7 +17,7 @@ from .clocks import ClockedMachine, clocked_run
 from .codec import decode_index, is_sigma_image
 from .machines import OutOfFuel, run
 from .registry import registered
-from .words import index_word, pair, proj1, unpair, word_index
+from .words import index_word, unpair, word_index
 
 DEFAULT_FUEL = 10 ** 6
 _RUNS = re.compile("0+|1+")  # the maximal runs of a word
@@ -237,14 +237,10 @@ def solve_E(x: int) -> int:
     return 0
 
 
-def _as_runner(m: int, fuel: int):
-    """Resolve index m to a word->word function.  Clocked pairs run under
-    their own clock (total); plain tables run fuel-bounded."""
-    return runner_for(decode_index(m), m, fuel)
-
-
 def runner_for(decoded, m: int, fuel: int):
-    """The word->word function of decode_index(m)'s result `decoded`."""
+    """The word->word function of decode_index(m)'s result `decoded`.
+    Clocked pairs run under their own clock (total); plain tables run
+    fuel-bounded."""
     if isinstance(decoded, ClockedMachine):
 
         def run_clocked(word: str) -> str:
@@ -261,17 +257,6 @@ def runner_for(decoded, m: int, fuel: int):
     return run_plain
 
 
-def neg_A(m: int, z: int, fuel: int = DEFAULT_FUEL) -> bool:
-    """True iff z is a verified satisfiable pair whose formula machine m
-    answers incorrectly: verify(z) = 1 but verify(pair(x, m(x))) = 0."""
-    if verify(z) != 1:
-        return False
-    runner = _as_runner(m, fuel)
-    x = proj1(z)
-    y = word_index(runner(index_word(x)))
-    return verify(pair(x, y)) == 0
-
-
 def f_neg_A(m: int, budget: int, fuel: int = DEFAULT_FUEL) -> SearchOutcome:
     """Scan z = 0, 1, ... below budget for the first counterexample to m.
     Returns Found(z, z) or Exhausted(budget); raises IndeterminateSearch when a
@@ -280,7 +265,7 @@ def f_neg_A(m: int, budget: int, fuel: int = DEFAULT_FUEL) -> SearchOutcome:
     Each formula word is decoded once per scan, and m is consulted once per
     formula, at the first z that verifies for it; that verdict is reused for
     the later z on the same formula."""
-    return scan(_as_runner(m, fuel), budget)
+    return scan(runner_for(decode_index(m), m, fuel), budget)
 
 
 def scan(runner, budget: int) -> SearchOutcome:

@@ -21,7 +21,6 @@ from tmlab.families import (
     build_q_table,
     clock_stride_analysis,
     differences,
-    p_index,
     peak_probe,
     stride_analysis,
 )
@@ -29,7 +28,7 @@ from tmlab.machines import BLANK, Halted, Rule, run, trivial_machine
 from tmlab.ordinals import ord_parse
 from tmlab.registry import FRegistry, register
 from tmlab.sat import Exhausted, Found, f_neg_A, solve_E
-from tmlab.words import index_word, proj1, word_index
+from tmlab.words import index_word, pair, proj1, word_index
 
 ORD1 = ord_parse("1")
 ORD2 = ord_parse("2")
@@ -112,7 +111,7 @@ def test_build_q_registers_family_word():
     assert godel == family_index(ORD1, 1, 16)
     assert spec == QSpec(ORD1, 1, 2, 16)
     assert table.family_key == (ORD1, 1, 16)
-    assert godel in registry.members()
+    assert registry.registered(godel)
 
 
 def test_family_stride_is_exact():
@@ -121,7 +120,7 @@ def test_family_stride_is_exact():
     assert report.base == family_index(ORD1, 0, 16)
     assert report.indices == tuple(report.base + n * (1 << 14) for n in range(5))
     for i in report.indices:
-        assert i in registry.members()
+        assert registry.registered(i)
 
 
 def test_clock_stride_matches_family_stride():
@@ -135,8 +134,8 @@ def test_wider_level_changes_stride():
 
 
 def test_pair_position_is_quadratic_in_n():
-    ps = [p_index(family_index(ORD1, n, 16),
-                  clock_index(Parametrized(ORD1, n, 16))) for n in range(9)]
+    ps = [pair(family_index(ORD1, n, 16),
+               clock_index(Parametrized(ORD1, n, 16))) for n in range(9)]
     d2 = differences(differences(ps))
     assert set(d2) == {1 << 30}
     assert set(differences(d2)) == {0}
@@ -149,7 +148,7 @@ def test_peak_probe_pins():
     assert [p.first_coord for p in probes] == [1, 3, 9]
     for p in probes:
         assert p.first_coord > p.threshold
-        assert p.sigma_index in registry.members()
+        assert registry.registered(p.sigma_index)
     witnesses = [p.outcome.witness for p in probes]
     assert witnesses == sorted(set(witnesses))  # strictly increasing peaks
 
@@ -200,7 +199,7 @@ def test_peak_probe_builds_once(monkeypatch):
 
     monkeypatch.setattr(families, "build_q_table", counting)
     peak_probe(ORD1, 3)
-    assert calls == [(ORD1, 3, 16, 10 ** 6, 1 << 12)]
+    assert calls == [(ORD1, 3, 16)]
     calls.clear()
     f_neg_A(sigma_embed(ClockedMachine(build_q_table(ORD1, 3), Parametrized(ORD1, 3))), 10)
     assert len(calls) == 1  # the decoder still builds the member it decodes

@@ -15,7 +15,6 @@ from tmlab.ordinals import (
     NotLimit,
     OrdinalCNF,
     ParseError,
-    as_nat,
     clock_index_ordinal,
     from_nat,
     fundamental_sequence,
@@ -73,8 +72,6 @@ def test_parse_bounds_nesting_depth():
 
 def test_nat_embedding():
     assert from_nat(0) == ZERO and from_nat(1) == ONE
-    assert as_nat(from_nat(9)) == 9
-    assert as_nat(OMEGA) is None
 
 
 def test_compare_chain():

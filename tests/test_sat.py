@@ -7,7 +7,7 @@ import pytest
 
 from tmlab import registry
 from tmlab.clocks import ClockedMachine, Parametrized
-from tmlab.codec import encode_table, is_sigma_image, sigma_embed
+from tmlab.codec import decode_index, encode_table, is_sigma_image, sigma_embed
 from tmlab.families import build_q_table
 from tmlab.machines import MachineTable, Rule
 from tmlab.ordinals import ord_parse
@@ -22,13 +22,13 @@ from tmlab.sat import (
     encode_cnf,
     f_neg_A,
     f_prime,
-    neg_A,
     parse_dimacs,
+    runner_for,
     solve_E,
     verify,
     verify_cost,
 )
-from tmlab.words import index_word, pair, unpair, word_index
+from tmlab.words import index_word, pair, proj1, unpair, word_index
 
 V1 = CnfFormula((((1, True),),), 1)
 
@@ -245,10 +245,22 @@ def test_formula_constructor_validation():
         CnfFormula((((2, True),),), 1)
 
 
+def neg_A(m: int, z: int, fuel: int = 10 ** 6) -> bool:
+    """Oracle for the failure scan: True iff z is a verified satisfiable pair
+    whose formula machine m answers incorrectly, that is verify(z) = 1 but
+    verify(pair(x, m(x))) = 0."""
+    if verify(z) != 1:
+        return False
+    x = proj1(z)
+    answer = runner_for(decode_index(m), m, fuel)(index_word(x))
+    return verify(pair(x, word_index(answer))) == 0
+
+
 def test_neg_a_on_identity_machine():
     assert neg_A(0, pair(9, 2)) is True  # identity echoes the formula word
     assert neg_A(0, 0) is False  # empty formula, empty answer: correct
     assert neg_A(0, pair(2, 0)) is False  # not a verified pair at all
+    assert neg_A(0, f_neg_A(0, 100).witness) is True
 
 
 def test_failure_scan_identity_machine():
