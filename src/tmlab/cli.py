@@ -380,6 +380,8 @@ GAVE_UP = ("out-of-fuel", "indeterminate")  # the outcome kinds that exit 2
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact integers print and parse at any size
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as stop:

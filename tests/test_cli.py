@@ -12,7 +12,7 @@ import pytest
 import tmlab
 from tmlab import cli
 from tmlab.codec import encode_table
-from tmlab.machines import MachineTable, Rule
+from tmlab.machines import MachineTable, Rule, format_tm_text
 
 IDENTITY = ""  # zero rules: halts immediately, tape untouched
 LOOPER = "1 0 1 0 N\n1 1 1 1 N\n1 _ 1 _ N\n"
@@ -79,6 +79,42 @@ def test_clock_run_within_bound(tm, capsys):
     assert cli.main(["clock-run", tm(IDENTITY), "11", "--clock", "poly:2"]) == 0
     (rec,) = records(capsys)
     assert rec["outcome"]["cut"] is False and rec["outcome"]["output"] == "11"
+
+
+FLIP = "1 0 0 1 R\n1 1 1 0 R\n1 _ 0 _ N\n"
+
+
+def test_ord_eval_prints_exact_value_past_str_digit_limit(capsys):
+    # F_2(20000) = 2^20000 has 6,021 digits, past the interpreter's default
+    # int/str conversion limit of 4,300
+    assert cli.main(["ord-eval", "2", "20000", "--budget", "30000"]) == 0
+    (rec,) = records(capsys)
+    assert rec["outcome"] == {"kind": "value", "value": 2 ** 20000}
+
+
+def test_clock_run_prints_exact_bound_past_str_digit_limit(tm, capsys):
+    # fgh:2:14 has exponent 2^14, so the bound on a 3-bit word is 3^16384 + 16384
+    assert cli.main(["clock-run", tm(FLIP), "011", "--clock", "fgh:2:14"]) == 0
+    (rec,) = records(capsys)
+    assert rec["outcome"]["bound"] == 3 ** 16384 + 16384
+    assert rec["outcome"]["cut"] is False
+
+
+def test_tm_encode_decode_roundtrip_past_str_digit_limit(tmp_path, capsys):
+    sources = [(q, a) for q in range(1, 135) for a in "01_"][:400]
+    table = MachineTable(tuple(
+        Rule(q, a, (7 * q + i) % 135, "01_"[i % 3], "LRN"[(q + i) % 3])
+        for i, (q, a) in enumerate(sources)))
+    path = tmp_path / "big.tm"
+    path.write_text(format_tm_text(table))
+    assert cli.main(["tm-encode", str(path)]) == 0
+    (rec,) = records(capsys)
+    index = rec["outcome"]["index"]
+    assert index == encode_table(table) and len(str(index)) > 4300
+    assert cli.main(["tm-decode", str(index)]) == 0
+    (rec,) = records(capsys)
+    assert rec["outcome"]["kind"] == "table" and rec["outcome"]["rules"] == 400
+    assert rec["outcome"]["text"] == format_tm_text(table.canonical())
 
 
 def test_sat_verify_three_input_forms(tm, capsys):
