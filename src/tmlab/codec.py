@@ -314,8 +314,9 @@ def _split_sigma(bits: str):
 def _machine_block(bits: str):
     """Strict parse of a machine block: the parsed table of a table text (the
     empty block is the trivial machine), the (alpha, n, width) fields of a
-    family word, or None.  Builds nothing, so recognition needs no budget.
-    The parser accepts only table_text's image, so no re-packing check."""
+    family word, or None.  Builds nothing, so recognition needs no budget,
+    and needs no more than this parse: _parse_table_text accepts exactly
+    table_text's image."""
     if bits.startswith(TAG_FAMILY):
         return _read_family(bits)
     text = _unpack(bits)

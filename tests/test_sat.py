@@ -12,6 +12,7 @@ from tmlab.families import build_q_table
 from tmlab.machines import MachineTable, Rule
 from tmlab.ordinals import ord_parse
 from tmlab.sat import (
+    DEFAULT_FUEL,
     EMPTY_FORMULA,
     CnfFormula,
     Exhausted,
@@ -245,7 +246,7 @@ def test_formula_constructor_validation():
         CnfFormula((((2, True),),), 1)
 
 
-def neg_A(m: int, z: int, fuel: int = 10 ** 6) -> bool:
+def neg_A(m: int, z: int, fuel: int = DEFAULT_FUEL) -> bool:
     """Oracle for the failure scan: True iff z is a verified satisfiable pair
     whose formula machine m answers incorrectly, that is verify(z) = 1 but
     verify(pair(x, m(x))) = 0."""
