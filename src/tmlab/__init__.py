@@ -60,7 +60,6 @@ from .sat import (
     CnfFormula,
     Exhausted,
     Found,
-    FuelExhausted,
     IndeterminateSearch,
     MalformedCnf,
     decode_cnf,

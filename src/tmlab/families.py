@@ -23,7 +23,7 @@ from .clocks import DEFAULT_EVAL_BUDGET, ClockedMachine, Parametrized
 from .codec import clock_index, clocked_pair, family_index, sigma_embed
 from .machines import BLANK, Halted, MachineTable, Rule, run
 from .registry import FRegistry, register
-from .sat import Found, runner_for, scan, solve_E
+from .sat import Found, scan, solve_E
 from .words import index_word, proj1
 
 DESK_THRESHOLD_BOUND = 1 << 12  # largest table we agree to materialize
@@ -203,6 +203,6 @@ def peak_probe(alpha, n: int, width: int = 16,
     register(sigma, registry)
     # search the member just built, as decode_index(sigma) would produce it
     decoded = clocked_pair(table, ("fgh", alpha, n, width))
-    outcome = scan(runner_for(decoded, sigma, fuel), budget)
+    outcome = scan(decoded, budget, fuel)
     first = proj1(outcome.witness) if isinstance(outcome, Found) else None
     return PeakResult(sigma, outcome, spec.threshold, first)

@@ -27,10 +27,6 @@ class MalformedCnf(ValueError):
     pass
 
 
-class FuelExhausted(Exception):
-    """A plain (unclocked) machine ran out of fuel while being consulted."""
-
-
 class IndeterminateSearch(Exception):
     """The search hit a z it could neither confirm nor rule out."""
 
@@ -237,39 +233,23 @@ def solve_E(x: int) -> int:
     return 0
 
 
-def runner_for(decoded, m: int, fuel: int):
-    """The word->word function of decode_index(m)'s result `decoded`.
-    Clocked pairs run under their own clock (total); plain tables run
-    fuel-bounded."""
-    if isinstance(decoded, ClockedMachine):
-
-        def run_clocked(word: str) -> str:
-            return clocked_run(decoded, word).output
-
-        return run_clocked
-
-    def run_plain(word: str) -> str:
-        outcome = run(decoded, word, fuel)
-        if isinstance(outcome, OutOfFuel):
-            raise FuelExhausted("machine %d out of fuel on %r" % (m, word))
-        return outcome.output
-
-    return run_plain
-
-
 def f_neg_A(m: int, budget: int, fuel: int = DEFAULT_FUEL) -> SearchOutcome:
     """Scan z = 0, 1, ... below budget for the first counterexample to m.
-    Returns Found(z, z) or Exhausted(budget); raises IndeterminateSearch when a
-    plain machine runs out of fuel on a formula that still had to be checked.
-
-    Each formula word is decoded once per scan, and m is consulted once per
-    formula, at the first z that verifies for it; that verdict is reused for
-    the later z on the same formula."""
-    return scan(runner_for(decode_index(m), m, fuel), budget)
+    Returns Found(z, z) or Exhausted(budget), or raises IndeterminateSearch
+    (see scan)."""
+    return scan(decode_index(m), budget, fuel)
 
 
-def scan(runner, budget: int) -> SearchOutcome:
-    """f_neg_A's scan over the word->word function of a resolved index."""
+def scan(machine, budget: int, fuel: int) -> SearchOutcome:
+    """f_neg_A's scan over a decoded machine.  A clocked pair answers under
+    its own clock, a plain table within fuel.  When a formula still had to be
+    checked and the table runs out of fuel, the scan raises
+    IndeterminateSearch at that z.
+
+    Each formula word is decoded once per scan, and the machine is consulted
+    once per formula, at the first z that verifies for it; that verdict is
+    reused for the later z on the same formula."""
+    clocked = isinstance(machine, ClockedMachine)
     formulas = {}  # x -> formula of index_word(x), None when malformed
     fails = {}  # x -> whether the answer on x fails that formula
     base = 0  # z = base + y walks the diagonal x + y = s
@@ -288,11 +268,11 @@ def scan(runner, budget: int) -> SearchOutcome:
                 continue
             verdict = fails.get(x)
             if verdict is None:
-                try:
-                    answer = runner(index_word(x))
-                except FuelExhausted:
+                word = index_word(x)
+                got = clocked_run(machine, word) if clocked else run(machine, word, fuel)
+                if isinstance(got, OutOfFuel):
                     raise IndeterminateSearch(base + y)
-                verdict = fails[x] = _check(f, answer) == 0
+                verdict = fails[x] = _check(f, got.output) == 0
             if verdict:
                 return Found(base + y, base + y)
         base += s + 1

@@ -6,10 +6,10 @@ from itertools import groupby, product
 import pytest
 
 from tmlab import registry
-from tmlab.clocks import ClockedMachine, Parametrized
+from tmlab.clocks import ClockedMachine, Parametrized, clocked_run
 from tmlab.codec import decode_index, encode_table, is_sigma_image, sigma_embed
 from tmlab.families import build_q_table
-from tmlab.machines import MachineTable, Rule
+from tmlab.machines import Halted, MachineTable, Rule, run
 from tmlab.ordinals import ord_parse
 from tmlab.sat import (
     DEFAULT_FUEL,
@@ -24,7 +24,6 @@ from tmlab.sat import (
     f_neg_A,
     f_prime,
     parse_dimacs,
-    runner_for,
     solve_E,
     verify,
     verify_cost,
@@ -253,8 +252,13 @@ def neg_A(m: int, z: int, fuel: int = DEFAULT_FUEL) -> bool:
     if verify(z) != 1:
         return False
     x = proj1(z)
-    answer = runner_for(decode_index(m), m, fuel)(index_word(x))
-    return verify(pair(x, word_index(answer))) == 0
+    machine = decode_index(m)
+    if isinstance(machine, ClockedMachine):
+        got = clocked_run(machine, index_word(x))
+    else:
+        got = run(machine, index_word(x), fuel)
+        assert isinstance(got, Halted), "machine %d out of fuel" % m
+    return verify(pair(x, word_index(got.output))) == 0
 
 
 def test_neg_a_on_identity_machine():
