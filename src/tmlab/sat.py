@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .clocks import ClockedMachine, clocked_run
+from .clocks import BudgetExceeded, ClockedMachine, clocked_run
 from .codec import decode_index, is_sigma_image
 from .machines import OutOfFuel, run
 from .registry import registered
@@ -243,7 +243,8 @@ def f_neg_A(m: int, budget: int, fuel: int = DEFAULT_FUEL) -> SearchOutcome:
 def scan(machine, budget: int, fuel: int) -> SearchOutcome:
     """f_neg_A's scan over a decoded machine.  A clocked pair answers under
     its own clock, a plain table within fuel.  When a formula still had to be
-    checked and the table runs out of fuel, the scan raises
+    checked and the machine gives no answer, because the table ran out of fuel
+    or the clock's bound is past desk reach, the scan raises
     IndeterminateSearch at that z.
 
     Each formula word is decoded once per scan, and the machine is consulted
@@ -269,8 +270,11 @@ def scan(machine, budget: int, fuel: int) -> SearchOutcome:
             verdict = fails.get(x)
             if verdict is None:
                 word = index_word(x)
-                got = clocked_run(machine, word) if clocked else run(machine, word, fuel)
-                if isinstance(got, OutOfFuel):
+                try:
+                    got = clocked_run(machine, word) if clocked else run(machine, word, fuel)
+                except BudgetExceeded:
+                    got = None
+                if got is None or isinstance(got, OutOfFuel):
                     raise IndeterminateSearch(base + y)
                 verdict = fails[x] = _check(f, got.output) == 0
             if verdict:

@@ -106,6 +106,7 @@ CASES = [
     case("clock-run", "flip.tm", "0110", "--clock", "fgh:w:2"),
     case("clock-run", "walker.tm", "1", "--clock", "fgh:eps0:1"),
     case("clock-run", "flip.tm", "0", "--clock", "fgh:eps0:2000"),
+    case("clock-run", "flip.tm", "011", "--clock", "fgh:2:20"),  # bound past desk reach
     case("clock-run", "keep.tm", "11", "--clock", "poly:1", "--human"),
     case("clock-run", "flip.tm", "0", "--clock", "bogus"),
     case("clock-run", "flip.tm", "0", "--clock", "fgh:3"),

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import all_words, random_table
 from tmlab.clocks import (
+    BOUND_BITS,
     BudgetExceeded,
     ClockedMachine,
     Parametrized,
@@ -27,6 +28,18 @@ def test_clock_bound_values():
     assert clock_bound(PlainPoly(1), 2) == 3
     assert clock_bound(PlainPoly(2), 3) == 11
     assert clock_bound(PlainPoly(3), 0) == 3
+
+
+def test_clock_bound_past_desk_reach_answers_at_once():
+    # |x|^E is refused from E and the bit length of |x| alone
+    assert clock_bound(PlainPoly(BOUND_BITS // 2), 3) == 3 ** (BOUND_BITS // 2) + BOUND_BITS // 2
+    assert clock_bound(PlainPoly(1 << 40), 1) == 1 + (1 << 40)
+    assert clock_bound(PlainPoly(1 << 40), 0) == 1 << 40
+    for e, n in [(BOUND_BITS // 2 + 1, 2), (1 << 40, 3), (2 ** 1000, 2)]:
+        with pytest.raises(BudgetExceeded):
+            clock_bound(PlainPoly(e), n)
+    with pytest.raises(BudgetExceeded):
+        clocked_run(ClockedMachine(LOOP_ON_ONES, parse_clock("fgh:2:40")), "11")
 
 
 def test_plain_poly_validation():

@@ -1,10 +1,15 @@
 """CNF word coding, the pair checker, the brute solver, and the failure scan."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import groupby, product
+from pathlib import Path
 
 import pytest
 
+import tmlab
 from tmlab import registry
 from tmlab.clocks import ClockedMachine, Parametrized, clocked_run
 from tmlab.codec import decode_index, encode_table, is_sigma_image, sigma_embed
@@ -284,6 +289,32 @@ def test_failure_scan_indeterminate_on_looping_machine():
     with pytest.raises(IndeterminateSearch) as info:
         f_neg_A(encode_table(loop), 10, fuel=50)
     assert info.value.z == 0
+
+
+_FAR_CLOCK_SCAN = """
+from tmlab.clocks import ClockedMachine, Parametrized
+from tmlab.codec import sigma_embed
+from tmlab.families import build_q_table
+from tmlab.ordinals import from_nat
+from tmlab.sat import IndeterminateSearch, f_neg_A
+table = build_q_table(from_nat(1), 2)
+m = sigma_embed(ClockedMachine(table, Parametrized(from_nat(2), 40, 8)))
+try:
+    print(f_neg_A(m, 30))
+except IndeterminateSearch as stop:
+    print("indeterminate", stop.z)
+"""
+
+
+def test_failure_scan_indeterminate_when_clock_bound_is_out_of_reach():
+    # the clock fgh:2:40 decodes within budget, but its bound 2^(2^40) on a
+    # formula word is out of desk reach; run in a child so a hang fails
+    src = str(Path(tmlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    got = subprocess.run([sys.executable, "-c", _FAR_CLOCK_SCAN], env=env,
+                         capture_output=True, text=True, timeout=10)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout == "indeterminate 6\n"
 
 
 def test_guarded_scan_defaults_outside_known_indices():
