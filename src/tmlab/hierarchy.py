@@ -193,7 +193,10 @@ FnDescriptor = Union[FghFn, TableFn]
 
 def parse_fn_descriptor(s: str) -> FnDescriptor:
     if s.startswith("table:"):
-        return TableFn(tuple(int(v) for v in s[len("table:"):].split(",")))
+        values = tuple(int(v) for v in s[len("table:"):].split(","))
+        if min(values) < 0:
+            raise ValueError("table values must be >= 0 in %r" % s)
+        return TableFn(values)
     level, at, poly = s.partition("@")
     if level.startswith("fgh:"):
         alpha = ord_parse(level[len("fgh:"):])

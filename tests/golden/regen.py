@@ -186,6 +186,7 @@ CASES = [
     case("dominate", "fgh:2", "fgh:1", "--lo", "-3", "--hi", "2"),
     case("dominate", "fgh:2", "fgh:1", "--lo", "5", "--hi", "2"),
     case("dominate", "bogus", "fgh:1", "--lo", "0", "--hi", "1"),
+    case("dominate", "table:-3,-4", "fgh:0", "--lo", "0", "--hi", "1"),
     case("dominate", "fgh:eps0", "fgh:1", "--lo", "0", "--hi", "1"),
     case("dominate", "eps0@x", "fgh:1", "--lo", "0", "--hi", "1"),
     case("dominate", "fgh:2@", "fgh:1", "--lo", "0", "--hi", "1"),

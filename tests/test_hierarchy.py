@@ -225,7 +225,7 @@ def test_descriptor_roundtrip(text):
 
 
 def test_descriptor_rejects_garbage():
-    for bad in ["", "fgh:", "poly:1", "table:", "fgh:w@poly:"]:
+    for bad in ["", "fgh:", "poly:1", "table:", "fgh:w@poly:", "table:0,-5"]:
         with pytest.raises(ValueError):
             parse_fn_descriptor(bad)
 
