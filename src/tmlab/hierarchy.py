@@ -213,15 +213,6 @@ def _parse_poly(s: str) -> tuple:
     return _check_poly(tuple(int(c) for c in s[len("poly:"):].split(",")))
 
 
-def format_fn_descriptor(d: FnDescriptor) -> str:
-    if isinstance(d, TableFn):
-        return "table:%s" % ",".join(str(v) for v in d.values)
-    level = format_level(d.alpha)
-    if d.alpha != EPS0:
-        level = "fgh:" + level
-    return level + ("@poly:%s" % ",".join(str(c) for c in d.poly) if d.poly else "")
-
-
 def _argument(d: FghFn, x: int) -> int:
     return poly_eval(d.poly, x) if d.poly else x
 

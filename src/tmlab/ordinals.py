@@ -102,10 +102,6 @@ def ord_mult_nat(a: OrdinalCNF, k: int) -> OrdinalCNF:
     return OrdinalCNF(((e, c * k),) + rest)
 
 
-def is_zero(a: OrdinalCNF) -> bool:
-    return not a.terms
-
-
 def is_successor(a: OrdinalCNF) -> bool:
     return bool(a.terms) and a.terms[-1][0] == ZERO
 

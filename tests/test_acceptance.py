@@ -296,8 +296,8 @@ def test_criterion_05_codec_totality_and_fallback(capsys):
 
 def _reference_fgh(alpha, x: int) -> int:
     """Recurrence reference: iterate successors from 1, dive at limits."""
-    from tmlab.ordinals import ONE, fundamental_sequence, is_limit, is_zero, predecessor
-    if is_zero(alpha):
+    from tmlab.ordinals import ONE, fundamental_sequence, is_limit, predecessor
+    if not alpha.terms:
         return 0
     if alpha == ONE:
         return 2 * x

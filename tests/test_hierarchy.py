@@ -20,12 +20,11 @@ from tmlab.hierarchy import (
     fgh_eval,
     fn_at_least,
     fn_eval,
-    format_fn_descriptor,
     parse_fn_descriptor,
     poly_eval,
 )
 from tmlab.ordinals import (OrdinalCNF, ParseError, clock_index_ordinal, from_nat, ord_compare,
-                            ord_parse)
+                            ord_format, ord_parse)
 
 BIG = 10 ** 6
 
@@ -36,10 +35,10 @@ def _nat(k):
 
 def _reference_fgh(alpha_text: str, x: int) -> int:
     """Independent recurrence iterator used as the value oracle."""
-    from tmlab.ordinals import fundamental_sequence, is_limit, is_zero, predecessor, ONE
+    from tmlab.ordinals import fundamental_sequence, is_limit, predecessor, ONE
 
     def go(a, v):
-        if is_zero(a):
+        if not a.terms:
             return 0
         if a == ONE:
             return 2 * v
@@ -217,11 +216,19 @@ def test_poly_eval():
     assert poly_eval((0, 0, 1), 5) == 25
 
 
+def _format_descriptor(d) -> str:
+    """Oracle for the descriptor grammar: the text a descriptor was read from."""
+    if isinstance(d, TableFn):
+        return "table:" + ",".join(map(str, d.values))
+    level = EPS0 if d.alpha == EPS0 else "fgh:" + ord_format(d.alpha)
+    return level + ("@poly:" + ",".join(map(str, d.poly)) if d.poly else "")
+
+
 @pytest.mark.parametrize("text", [
     "fgh:w^w", "fgh:3@poly:1,2", "eps0", "eps0@poly:0,2", "table:0,5,10",
 ])
 def test_descriptor_roundtrip(text):
-    assert format_fn_descriptor(parse_fn_descriptor(text)) == text
+    assert _format_descriptor(parse_fn_descriptor(text)) == text
 
 
 def test_descriptor_rejects_garbage():
@@ -233,7 +240,7 @@ def test_descriptor_rejects_garbage():
 def test_descriptor_level_grammar_pins():
     # eps0 is a bare descriptor; after "fgh:" only ordinal text is a level
     for text in ["eps0", "eps0@poly:0,1", "fgh:2@poly:0,1"]:
-        assert format_fn_descriptor(parse_fn_descriptor(text)) == text
+        assert _format_descriptor(parse_fn_descriptor(text)) == text
     assert fn_eval(parse_fn_descriptor("eps0@poly:0,1"), 2, BIG) == 4
     assert fn_eval(parse_fn_descriptor("fgh:2@poly:0,1"), 3, BIG) == 8  # 2^3
     for bad, kind, message in [

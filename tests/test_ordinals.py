@@ -20,7 +20,6 @@ from tmlab.ordinals import (
     fundamental_sequence,
     is_limit,
     is_successor,
-    is_zero,
     omega_power,
     ord_add,
     ord_compare,
@@ -100,7 +99,7 @@ def test_mult_nat():
 
 
 def test_classification():
-    assert is_zero(ZERO)
+    assert not ZERO.terms
     assert is_successor(ONE) and is_successor(ord_parse("w+3"))
     assert is_limit(OMEGA) and is_limit(ord_parse("w^2")) and is_limit(ord_parse("w^w+w"))
     assert not is_limit(ZERO)
