@@ -136,8 +136,7 @@ def _sat_verify_z(args) -> int:
             raise ValueError("give either Z or --x/--y or --dimacs")
         return args.z
     if args.dimacs:
-        x = _dimacs_x(args.dimacs)
-        return pair(x, word_index(_check_word(args.assign or "")))
+        return pair(_dimacs_x(args.dimacs), word_index(_check_word(args.assign or "")))
     if args.x is None or args.y is None:
         raise ValueError("need Z, or both --x and --y, or --dimacs")
     return pair(args.x, args.y)
@@ -150,14 +149,11 @@ def _cmd_sat_verify(args):
 
 
 def _cmd_sat_solve(args):
-    if args.dimacs:
-        if args.x is not None:
-            raise ValueError("give either X or --dimacs")
-        x = _dimacs_x(args.dimacs)
-    elif args.x is None:
+    if args.dimacs and args.x is not None:
+        raise ValueError("give either X or --dimacs")
+    if not args.dimacs and args.x is None:
         raise ValueError("need X or --dimacs")
-    else:
-        x = args.x
+    x = _dimacs_x(args.dimacs) if args.dimacs else args.x
     y = solve_E(x)
     outcome = {"y": y, "assignment": index_word(y),
                "witnessed": verify(pair(x, y)) == 1}
