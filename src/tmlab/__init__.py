@@ -71,7 +71,6 @@ from .sat import (
     verify,
 )
 from .families import (
-    BuildOverflow,
     PeakResult,
     QSpec,
     StrideReport,

@@ -18,8 +18,7 @@ import sys
 from .clocks import (BudgetExceeded, ClockedMachine, clock_bound, clocked_run,
                      format_clock, parse_clock)
 from .codec import ClockedTable, decode_index, encode_table
-from .families import (BuildOverflow, build_Q, clock_stride_analysis, differences,
-                       peak_probe, stride_analysis)
+from .families import build_Q, clock_stride_analysis, differences, peak_probe, stride_analysis
 from .hierarchy import (FailsAt, Holds, Value, dominates_on_window, fgh_eval,
                         parse_fn_descriptor, parse_level)
 from .machines import Halted, format_tm_text, parse_tm_text, run
@@ -70,9 +69,6 @@ def _load_table(path: str):
 
 def _registry(args):
     return None if args.no_registry else FRegistry(args.registry)
-
-
-OUT_OF_REACH = (BuildOverflow, BudgetExceeded)  # a family member past desk reach
 
 
 # --- handlers: each yields (inputs, outcome, cost) per record -----------------
@@ -131,9 +127,10 @@ def _dimacs_x(path: str) -> int:
 def _sat_verify_z(args) -> int:
     if args.assign is not None and not args.dimacs:
         raise ValueError("--assign gives the assignment for --dimacs only")
+    forms = (args.z is not None, args.x is not None or args.y is not None, bool(args.dimacs))
+    if sum(forms) > 1:
+        raise ValueError("give either Z or --x/--y or --dimacs")
     if args.z is not None:
-        if args.x is not None or args.y is not None or args.dimacs:
-            raise ValueError("give either Z or --x/--y or --dimacs")
         return args.z
     if args.dimacs:
         return pair(_dimacs_x(args.dimacs), word_index(_check_word(args.assign or "")))
@@ -217,7 +214,7 @@ def _cmd_qfam_build(args):
     try:
         table, godel, spec = build_Q(alpha, args.n, args.width,
                                      registry=_registry(args))
-    except OUT_OF_REACH as stop:
+    except BudgetExceeded as stop:
         yield inputs, {"kind": "overflow", "reason": str(stop)}, {}
         return
     outcome = {"kind": "built", "index": godel, "threshold": spec.threshold,
@@ -233,7 +230,7 @@ def _cmd_qfam_stride(args):
     try:
         machines = stride_analysis(alpha, ns, args.width, registry=_registry(args))
         clocks = clock_stride_analysis(alpha, ns, args.width)
-    except OUT_OF_REACH as stop:
+    except BudgetExceeded as stop:
         yield inputs, {"kind": "overflow", "reason": str(stop)}, {}
         return
     for role, report in (("machine", machines), ("clock", clocks)):
@@ -261,7 +258,7 @@ def _cmd_qfam_peaks(args):
         except IndeterminateSearch as stop:
             yield inputs, {"kind": "indeterminate", "z": stop.z}, {}
             return
-        except OUT_OF_REACH as stop:
+        except BudgetExceeded as stop:
             # thresholds do not fall as n grows: later members are out of reach too
             yield inputs, {"kind": "overflow", "reason": str(stop)}, {}
             return

@@ -271,13 +271,9 @@ def _read_family(bits: str):
     return got[0]
 
 
-def _family_table(alpha, n: int, width: int) -> MachineTable:
-    from .families import BuildOverflow, build_q_table  # deferred: families imports this module
-
-    try:
-        return build_q_table(alpha, n, width, eval_budget=DECODE_EVAL_BUDGET)
-    except (BuildOverflow, BudgetExceeded):
-        return trivial_machine()  # honest fallback: threshold out of desk reach
+# (alpha, n, width) -> the member a family word decodes to.  `families`,
+# which imports this module, installs its builder here at its own import.
+_family_table = None
 
 
 # --- sigma embedding -----------------------------------------------------------

@@ -19,9 +19,10 @@ built, at most DESK_THRESHOLD_BOUND + 1 entries at the default bound.
 from dataclasses import dataclass
 from typing import Optional
 
-from .clocks import DEFAULT_EVAL_BUDGET, ClockedMachine, Parametrized
+from . import codec
+from .clocks import DEFAULT_EVAL_BUDGET, BudgetExceeded, ClockedMachine, Parametrized
 from .codec import clock_index, clocked_pair, family_index, sigma_embed
-from .machines import BLANK, Halted, MachineTable, Rule, run
+from .machines import BLANK, Halted, MachineTable, Rule, run, trivial_machine
 from .registry import FRegistry, register
 from .sat import Found, scan, solve_E
 from .words import index_word, proj1
@@ -32,10 +33,6 @@ DESK_THRESHOLD_BOUND = 1 << 12  # largest table we agree to materialize
 # 0..len - 1.  Never mutated: a build that needs more positions rebinds it
 # to a longer tuple, so a racing build at worst solves a suffix twice.
 _desk = ()
-
-
-class BuildOverflow(Exception):
-    """The requested threshold cannot be materialized at desk scale."""
 
 
 @dataclass(frozen=True)
@@ -135,8 +132,8 @@ def build_q_table(alpha, n: int, width: int = 16,
     clock = Parametrized(alpha, n, width, eval_budget=eval_budget)  # BudgetExceeded if huge
     threshold = clock.exponent
     if threshold > DESK_THRESHOLD_BOUND:
-        raise BuildOverflow("threshold F_alpha(%d) = %d is out of desk reach"
-                            % (n, threshold))
+        raise BudgetExceeded("threshold F_alpha(%d) = %d is out of desk reach"
+                             % (n, threshold))
     global _desk
     desk = _desk
     if len(desk) <= threshold:  # solve only the positions no build reached yet
@@ -156,6 +153,18 @@ def build_q_table(alpha, n: int, width: int = 16,
                    worst_steps=max(need for _, need in entries), alpha=alpha, n=n, width=width)
     _measure(table, entries)
     return table
+
+
+def _family_table(alpha, n: int, width: int) -> MachineTable:
+    """The member a family word decodes to: built at the decoder's budget,
+    or the trivial machine when its threshold is out of desk reach."""
+    try:
+        return build_q_table(alpha, n, width, eval_budget=codec.DECODE_EVAL_BUDGET)
+    except BudgetExceeded:
+        return trivial_machine()
+
+
+codec._family_table = _family_table
 
 
 def build_Q(alpha, n: int, width: int = 16, registry: Optional[FRegistry] = None):

@@ -3,7 +3,7 @@
 A table is a finite set of quintuples (state, read, next_state, write, move)
 over states 0..n where 0 is the final state and never a rule source.  The tape
 is two-sided infinite; a run starts with the input word written from cell 0,
-head on cell 0, in state 1 (state 0 at once when the table mentions no state,
+head on cell 0, in state 1 (state 0 at once when the table has no rules,
 which makes the zero-rule table the identity machine).  When no rule matches
 the current (state, symbol) the machine moves to state 0 in one step.  Every
 run is fuel-bounded and therefore total.
@@ -65,26 +65,23 @@ class MachineTable:
             seen.add(key)
 
     @cached_property
-    def states(self) -> int:
-        """Count of non-final states: the largest state index mentioned."""
-        rules = self.rules
-        return max(max(map(itemgetter(0), rules), default=0),
-                   max(map(itemgetter(2), rules), default=0))
-
-    @cached_property
     def program(self) -> tuple:
-        """The table compiled for `run`, a flat tuple indexed by 3 * state +
-        symbol code (0, 1, 2 for 0, 1, blank).  An entry is (write code, head
-        delta, 3 * next state), or None where no rule matches; state 0's row
-        is all None.  A rule whose chain of N moves comes back to a (state,
-        symbol) pair never lets the run halt: its entry jumps to the _LOOP
-        row instead of its next state."""
-        prog = [None] * (3 * self.states + 6)
+        """The table compiled for `run`, a flat tuple indexed by row + symbol
+        code (0, 1, 2 for 0, 1, blank).  States 0, 1 and the mentioned ones
+        get rows 0, 3, 6, ... in increasing order.  An entry is (write code,
+        head delta, next state's row), or None where no rule matches; state
+        0's row is all None.  A rule whose chain of N moves comes back to a
+        (state, symbol) pair never lets the run halt: its entry jumps to the
+        _LOOP row instead."""
+        rules = self.rules
+        states = sorted({0, 1, *map(itemgetter(0), rules), *map(itemgetter(2), rules)})
+        row = dict(zip(states, range(0, 3 * len(states), 3)))
+        prog = [None] * (3 * len(states) + 3)
         still = []
         code, delta = _SYM_ORDER, _DELTA
-        for q, a, q2, w, m in self.rules:
-            at = 3 * q + code[a]
-            prog[at] = (code[w], delta[m], 3 * q2)
+        for q, a, q2, w, m in rules:
+            at = row[q] + code[a]
+            prog[at] = (code[w], delta[m], row[q2])
             if m == "N":
                 still.append(at)
         verdict = {}  # N-move entry -> loops?; None while on the chain being walked
@@ -155,7 +152,7 @@ def run(table: MachineTable, word: str, fuel: int) -> RunResult:
     tape += word.encode().translate(_TO_CODES)
     tape += _PAD
     head = len(_PAD)
-    i = 3 if table.states >= 1 else 0  # row offset of the current state
+    i = 3 if table.rules else 0  # row offset of the current state
     steps = 0
     while i:
         k = min(head, len(tape) - 1 - head)

@@ -74,6 +74,7 @@ CASES = [
     case("tm-run", "bad.tm", "1"),
     case("tm-run", "flip.tm", "1", "--fuel", "-1"),
     case("tm-run", "flip.tm", "1", "--fuel", "ten"),
+    case("tm-run", "far.tm", "01"),
     # tm-encode
     case("tm-encode", "halt1.tm"),
     case("tm-encode", "flip.tm"),
@@ -123,6 +124,8 @@ CASES = [
     case("sat-verify", "--x", "9", "--y", "2", "--assign", "0101"),
     case("sat-verify"),
     case("sat-verify", "5", "--x", "1"),
+    case("sat-verify", "--x", "9", "--y", "2", "--dimacs", "unsat.cnf", "--assign", "1"),
+    case("sat-verify", "--x", "9", "--dimacs", "unsat.cnf"),
     case("sat-verify", "--x", "9"),
     case("sat-verify", "--dimacs", "bad.cnf"),
     case("sat-verify", "--dimacs", "sat.cnf", "--assign", "2"),

@@ -193,12 +193,15 @@ _RULE = st.tuples(st.integers(1, 9), _SYMBOL, st.integers(0, 9), _SYMBOL,
                   st.sampled_from(MOVES))
 
 
+_TABLES = st.lists(_RULE, max_size=6, unique_by=lambda r: r[:2]).map(
+    lambda rules: MachineTable(tuple(Rule(*r) for r in rules)))
+
+
 @st.composite
 def _near_table_texts(draw):
     """table_text of a random table, then at most one near-miss edit: a
     doubled space, a leading zero, an empty line or no final newline."""
-    rules = draw(st.lists(_RULE, max_size=6, unique_by=lambda r: r[:2]))
-    text = codec.table_text(MachineTable(tuple(Rule(*r) for r in rules)))
+    text = codec.table_text(draw(_TABLES))
     edit = draw(st.sampled_from(("none", "space", "zero", "empty line", "no newline")))
     if edit == "no newline":
         return text[:-1]
@@ -219,3 +222,11 @@ def test_table_text_parser_accepts_only_its_image(text):
     # table_text of the parsed table, so no re-serialization check is needed
     table = codec._parse_table_text(text)
     assert table is None or codec.table_text(table) == text
+
+
+@settings(deadline=None, max_examples=200)
+@given(_TABLES)
+def test_table_text_parser_reads_its_image_back(table):
+    # the other direction: a parser that rejected everything would pass the
+    # test above, but must give back every table from its unedited text
+    assert codec._parse_table_text(codec.table_text(table)) == table

@@ -13,7 +13,6 @@ from tmlab import codec, families, registry
 from tmlab.clocks import BudgetExceeded, ClockedMachine, Parametrized
 from tmlab.codec import clock_index, decode_index, family_index, sigma_embed
 from tmlab.families import (
-    BuildOverflow,
     PeakResult,
     QSpec,
     _dispatch_rules,
@@ -100,10 +99,28 @@ def test_q_table_zero_threshold():
 
 
 def test_q_build_overflow_and_budget():
-    with pytest.raises(BuildOverflow):
+    with pytest.raises(BudgetExceeded, match="out of desk reach"):
         build_q_table(ORD1, 3000)  # threshold 6000 exceeds the desk cap
     with pytest.raises(BudgetExceeded):
         build_q_table(ord_parse("3"), 8, eval_budget=10 ** 4)
+
+
+_FRESH_DECODE = """
+from tmlab.codec import decode_index, family_index
+from tmlab.ordinals import ord_parse
+print(decode_index(family_index(ord_parse("1"), 2, 16)).threshold)
+"""
+
+
+def test_family_word_decodes_to_its_member_in_a_fresh_interpreter():
+    # the decoder's member builder lives in families; importing codec alone
+    # must still decode family words to built members
+    src = str(Path(tmlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    got = subprocess.run([sys.executable, "-c", _FRESH_DECODE], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout == "4\n"
 
 
 def test_build_q_registers_family_word():

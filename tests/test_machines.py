@@ -62,6 +62,13 @@ def test_run_single_step_halt():
     assert run(FLIP_ONE, "1", 10) == Halted("0", 1)
 
 
+def test_run_far_state_index_compiles_small():
+    # only mentioned states get a row, so state 2^40 costs one row, not 2^40
+    far = MachineTable((Rule(1, "0", 1 << 40, "1", "R"),))
+    assert len(far.program) == 12  # states 0, 1, 2^40 and the loop row
+    assert run(far, "01", 10) == iterate(far, "01", 10) == Halted("11", 2)
+
+
 def test_identity_law_all_words_up_to_8():
     t = trivial_machine()
     for w in all_words(8):

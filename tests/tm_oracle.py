@@ -35,7 +35,7 @@ class Configuration:
 
 def initial_config(table: MachineTable, word: str) -> Configuration:
     tape = {i: c for i, c in enumerate(word)}
-    start = 1 if table.states >= 1 else 0
+    start = 1 if table.rules else 0
     return Configuration(tape, 0, start, 0)
 
 
