@@ -75,14 +75,13 @@ def _registry(args):
 
 def _cmd_tm_run(args):
     table = _load_table(args.file)
-    word = _check_word(args.word)
-    got = run(table, word, args.fuel)
+    got = run(table, args.word, args.fuel)  # ValueError on a word not over {0,1}
     if isinstance(got, Halted):
         outcome = {"kind": "halted", "output": got.output,
                    "position": word_index(got.output)}
     else:
         outcome = {"kind": "out-of-fuel"}
-    inputs = {"file": args.file, "word": word, "fuel": args.fuel}
+    inputs = {"file": args.file, "word": args.word, "fuel": args.fuel}
     yield inputs, outcome, {"steps": got.steps}
 
 

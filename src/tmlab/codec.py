@@ -25,16 +25,8 @@ from .clocks import (
     ClockSpec,
     Parametrized,
     PlainPoly,
-    _Composite,
 )
-from .machines import (
-    BLANK,
-    InvalidTable,
-    MachineTable,
-    MOVES,
-    Rule,
-    trivial_machine,
-)
+from .machines import BLANK, InvalidTable, MachineTable, Rule, trivial_machine
 from .ordinals import OrdinalCNF
 from .words import index_word, word_index
 
@@ -73,7 +65,8 @@ def table_text(t: MachineTable) -> str:
 
 def _parse_table_text(text: str) -> Optional[MachineTable]:
     # Strict: exactly the format table_text emits (single spaces, newline after
-    # every rule, binary numerals without leading zeros).
+    # every rule, binary numerals without leading zeros).  MachineTable
+    # rejects bad symbols and moves.
     if text and not text.endswith("\n"):
         return None
     rules = []
@@ -85,8 +78,6 @@ def _parse_table_text(text: str) -> Optional[MachineTable]:
         for numeral in (q, q2):
             if not numeral or numeral.strip("01") or (numeral[0] == "0" and numeral != "0"):
                 return None
-        if a not in ("0", "1", BLANK) or a2 not in ("0", "1", BLANK) or d not in MOVES:
-            return None
         rules.append(Rule(int(q, 2), a, int(q2, 2), a2, d))
     try:
         return MachineTable(tuple(rules))
@@ -288,8 +279,6 @@ def _machine_block_bits(machine: MachineTable) -> str:
 def sigma_embed(p: ClockedMachine) -> int:
     """Position of the pair's flat code word: clock parameter and instruction
     prefix, then the machine block.  Injective on pairs."""
-    if isinstance(p.machine, _Composite):
-        raise InvalidPair("composed machines have no flat code word")
     if not isinstance(p.machine, MachineTable):
         raise InvalidPair("machine part must be a plain table")
     if not isinstance(p.clock, (PlainPoly, Parametrized)):

@@ -11,12 +11,13 @@ from the fast-growing hierarchy, which is what makes the family's bounding
 clocks climb that hierarchy while each member stays a plain finite table.
 Each call builds its member once: one table, validated and compiled once by
 the self-check that runs every in-range position.  Solver answers and step
-counts do not depend on the threshold, so they are computed once per process
-and shared by later builds: the desk table grows to the largest threshold
-built, at most DESK_THRESHOLD_BOUND + 1 entries at the default bound.
+counts do not depend on the threshold, so each position is solved once per
+process and cached: at most DESK_THRESHOLD_BOUND + 1 positions, since no
+larger threshold is built.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from . import codec
@@ -28,11 +29,6 @@ from .sat import Found, scan, solve_E
 from .words import index_word, proj1
 
 DESK_THRESHOLD_BOUND = 1 << 12  # largest table we agree to materialize
-
-# (answer word, in-range step count |w| + max(1, |out|)) for positions
-# 0..len - 1.  Never mutated: a build that needs more positions rebinds it
-# to a longer tuple, so a racing build at worst solves a suffix twice.
-_desk = ()
 
 
 @dataclass(frozen=True)
@@ -116,11 +112,25 @@ def _dispatch_rules(outputs) -> tuple:
     return tuple(rules + chain_rules)
 
 
-def _measure(table: MachineTable, entries) -> None:
+@cache
+def _solved(x: int) -> tuple:
+    """(answer word, in-range step count |w| + max(1, |out|)) at position x."""
+    out = index_word(solve_E(x))
+    return out, (x + 1).bit_length() - 1 + max(1, len(out))
+
+
+def _measure(table: QTable, entries) -> None:
     """Self-check: every in-range position halts with its answer in exactly
-    its step count.  Compiles the table's program for later runs."""
+    its step count, within the family clock.  Compiles the table's program
+    for later runs."""
+    threshold = table.threshold
     for x, (expected, need) in enumerate(entries):
-        got = run(table, index_word(x), need)
+        word = index_word(x)
+        # len(word) ** threshold >= 0, so need <= threshold already fits the
+        # clock without computing that power
+        assert need <= threshold or need <= len(word) ** threshold + threshold, \
+            "in-range run exceeds the family clock at %d" % x
+        got = run(table, word, need)
         assert type(got) is Halted and got.output == expected and got.steps == need, \
             "dispatch self-check failed at position %d" % x
 
@@ -134,21 +144,7 @@ def build_q_table(alpha, n: int, width: int = 16,
     if threshold > DESK_THRESHOLD_BOUND:
         raise BudgetExceeded("threshold F_alpha(%d) = %d is out of desk reach"
                              % (n, threshold))
-    global _desk
-    desk = _desk
-    if len(desk) <= threshold:  # solve only the positions no build reached yet
-        grown = []
-        for x in range(len(desk), threshold + 1):
-            out = index_word(solve_E(x))
-            grown.append((out, (x + 1).bit_length() - 1 + max(1, len(out))))
-        desk = _desk = desk + tuple(grown)
-    entries = desk[:threshold + 1]
-    for x, (_, need) in enumerate(entries):
-        length = (x + 1).bit_length() - 1  # |index_word(x)|
-        # length ** threshold >= 0, so need <= threshold already fits the
-        # clock without computing that power
-        assert need <= threshold or need <= length ** threshold + threshold, \
-            "in-range run exceeds the family clock at %d" % x
+    entries = [_solved(x) for x in range(threshold + 1)]
     table = QTable(_dispatch_rules([out for out, _ in entries]), threshold=threshold,
                    worst_steps=max(need for _, need in entries), alpha=alpha, n=n, width=width)
     _measure(table, entries)

@@ -8,7 +8,6 @@ single run; FRegistry persists the set across command invocations.
 
 import fcntl
 import os
-import tempfile
 from pathlib import Path
 
 _HEADER = "fregistry 1"
@@ -35,9 +34,10 @@ def clear() -> None:
 
 class FRegistry:
     """Durable registry: header line, then one decimal index per line.
-    Writes go through a unique temp file and rename, so readers never see a
-    torn file; add holds an exclusive lock on a sibling `.lock` file across
-    its read-modify-write, so concurrent processes lose no index."""
+    add holds an exclusive lock on a sibling `.lock` file across its
+    read-modify-write, so concurrent processes lose no index and only one
+    writes at a time.  It writes a sibling `.tmp` file and renames it over
+    the registry, so readers never see a torn file."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -67,14 +67,7 @@ class FRegistry:
         return index in self.load()
 
     def _write(self, indices: set[int]) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name + ".",
-                                   suffix=".tmp")
+        tmp = self.path.with_name(self.path.name + ".tmp")  # only the lock holder writes it
         body = "".join("%d\n" % i for i in sorted(indices))
-        try:
-            with os.fdopen(fd, "w") as f:
-                os.fchmod(f.fileno(), 0o644)  # mkstemp creates files 0600
-                f.write(_HEADER + "\n" + body)
-            os.replace(tmp, self.path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        tmp.write_text(_HEADER + "\n" + body)
+        os.replace(tmp, self.path)
