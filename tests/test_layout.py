@@ -3,7 +3,8 @@
 An import inside a function body usually hides an import cycle, so the
 package has none.  Where a module needs a later one's code, the later module
 installs it at import, as `families` installs the decoder's member builder
-on `codec`.
+on `codec`.  No function rebinds a module global either: state that lives
+across calls is an object or a cache.
 """
 
 import ast
@@ -29,3 +30,12 @@ def _deferred_imports():
 
 def test_no_deferred_import():
     assert _deferred_imports() == set()
+
+
+def test_no_global_statement():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert found == []
