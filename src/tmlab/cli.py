@@ -24,18 +24,22 @@ from .hierarchy import (FailsAt, Holds, Value, dominates_on_window, fgh_eval,
 from .machines import Halted, format_tm_text, parse_tm_text, run
 from .ordinals import fundamental_sequence, ord_format, ord_parse
 from .registry import FRegistry
-from .sat import (DEFAULT_FUEL, Found, IndeterminateSearch, encode_cnf, f_neg_A, f_prime,
-                  parse_dimacs, solve_E, verify, verify_cost)
-from .words import index_word, pair, word_index
+from .sat import (DEFAULT_FUEL, Found, IndeterminateSearch, MalformedCnf, decode_cnf,
+                  encode_cnf, f_neg_A, f_prime, parse_dimacs, solve_E, verify, verify_cost)
+from .words import decimal, index_word, pair, word_index
 
 DEFAULT_BUDGET = 10 ** 4
+# Most assignments times literals a sat-solve scans: the worst case inside,
+# an unsatisfiable pair of unit clauses on variable 16, took 54-75 ms on a
+# 2-core Xeon (2^18 took 87-160 ms).
+SOLVE_WORK_BOUND = 1 << 17
 
 
 def _natural(text: str) -> int:
     """argparse type for indices, positions, counts, budgets and fuel: a
     decimal integer >= 0."""
     try:
-        value = int(text)
+        value = decimal(text, signed=True)
     except ValueError:
         raise argparse.ArgumentTypeError("not an integer: %r" % text)
     if value < 0:
@@ -150,6 +154,14 @@ def _cmd_sat_solve(args):
     if not args.dimacs and args.x is None:
         raise ValueError("need X or --dimacs")
     x = _dimacs_x(args.dimacs) if args.dimacs else args.x
+    try:
+        f = decode_cnf(index_word(x))
+        work = (1 << f.num_vars) * sum(map(len, f.clauses))
+    except MalformedCnf:
+        work = 0  # solve_E answers 0 at once
+    if work > SOLVE_WORK_BOUND:
+        yield {"x": x}, {"kind": "budget-exceeded"}, {}
+        return
     y = solve_E(x)
     outcome = {"y": y, "assignment": index_word(y),
                "witnessed": verify(pair(x, y)) == 1}

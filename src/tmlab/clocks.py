@@ -3,7 +3,9 @@
 A clock bounds the run on input x to |x|^E + E steps.  Plain clocks carry the
 exponent directly; parametrized clocks materialize E = F_alpha(k) once at
 construction (with an explicit evaluation budget) and then behave like plain
-ones.  A run cut by its clock outputs the one-character word "0".
+ones.  A run cut by its clock outputs the one-character word "0".  A run is
+simulated for at most STEP_CAP steps: one still going there, under a larger
+bound, is past desk reach.
 """
 
 from dataclasses import dataclass, field
@@ -12,11 +14,16 @@ from typing import NamedTuple, Union
 from .hierarchy import EPS0, Value, fgh_eval, format_level, parse_level
 from .machines import Halted, MachineTable, run
 from .ordinals import OrdinalCNF
+from .words import decimal
 
 DEFAULT_EVAL_BUDGET = 10**6
 # Largest power of two whose bound still prints as a decimal record in under
 # 100 ms (2^17 bits: 30 ms on a 2-core Xeon; 2^18 bits took 115 ms).
 BOUND_BITS = 1 << 17
+# Power of two above every bound a test or bench run is cut at (the largest
+# is a compose stage two on the run workload, 71^3 + 3 = 357,914 steps); a
+# walker runs 2^19 steps in 63-85 ms on a 2-core Xeon (2^20 took 139-164 ms).
+STEP_CAP = 1 << 19
 
 
 class BudgetExceeded(Exception):
@@ -73,12 +80,12 @@ def clock_bound(clock: ClockSpec, input_len: int) -> int:
 def parse_clock(text: str) -> ClockSpec:
     """Clock syntax: `poly:P` or `fgh:ALPHA:K` (ALPHA ordinal text or eps0)."""
     if text.startswith("poly:"):
-        return PlainPoly(int(text[len("poly:"):]))
+        return PlainPoly(decimal(text[len("poly:"):], signed=True))
     if text.startswith("fgh:"):
         body, _, k = text[len("fgh:"):].rpartition(":")
         if not body:
             raise ValueError("expected fgh:ALPHA:K in %r" % text)
-        return Parametrized(parse_level(body), int(k))
+        return Parametrized(parse_level(body), decimal(k, signed=True))
     raise ValueError("unknown clock syntax %r" % text)
 
 
@@ -109,15 +116,20 @@ class ClockedResult(NamedTuple):
 
 
 def clocked_run(p: ClockedMachine, word: str) -> ClockedResult:
-    """Run under the clock: cut runs output "0" after exactly bound steps."""
+    """Run under the clock: cut runs output "0" after exactly bound steps.
+    BudgetExceeded when the run is still going at STEP_CAP steps and the
+    bound is larger."""
     if isinstance(p.machine, _Composite):
         r1 = clocked_run(p.machine.first, word)
         r2 = clocked_run(p.machine.second, r1.output)
         return ClockedResult(r2.output, r1.steps + r2.steps, r1.cut or r2.cut)
     bound = clock_bound(p.clock, len(word))
-    r = run(p.machine, word, bound)
+    r = run(p.machine, word, min(bound, STEP_CAP))
     if isinstance(r, Halted):
         return ClockedResult(r.output, r.steps, False)
+    if bound > STEP_CAP:
+        raise BudgetExceeded("run still going at the %d-step cap, bound %d"
+                             % (STEP_CAP, bound))
     return ClockedResult("0", bound, True)
 
 

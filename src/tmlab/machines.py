@@ -14,6 +14,8 @@ from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Union
 
+from .words import decimal
+
 BLANK = "_"
 SYMBOLS = ("0", "1", BLANK)
 MOVES = ("L", "R", "N")
@@ -205,9 +207,11 @@ def parse_tm_text(text: str) -> MachineTable:
         if len(fields) != 5:
             raise InvalidTable("line %d: expected 5 fields" % lineno)
         q, a, q2, a2, d = fields
-        if not q.isdigit() or not q2.isdigit():
+        try:
+            q, q2 = decimal(q), decimal(q2)
+        except ValueError:
             raise InvalidTable("line %d: states must be decimal naturals" % lineno)
-        rules.append(Rule(int(q), a, int(q2), a2, d))
+        rules.append(Rule(q, a, q2, a2, d))
     return MachineTable(tuple(rules))
 
 

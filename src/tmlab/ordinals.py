@@ -189,7 +189,7 @@ class _Parser:
 
     def nat(self) -> int:
         start = self.pos
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         if start == self.pos:
             raise ParseError("expected number at %d in %r" % (self.pos, self.text))
@@ -227,7 +227,7 @@ class _Parser:
             self.take(")")
             self.depth -= 1
             return v
-        if c.isdigit():
+        if "0" <= c <= "9":
             return from_nat(self.nat())
         raise ParseError("expected ordinal at %d in %r" % (self.pos, self.text))
 

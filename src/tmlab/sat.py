@@ -17,7 +17,7 @@ from .clocks import BudgetExceeded, ClockedMachine, clocked_run
 from .codec import decode_index, is_sigma_image
 from .machines import OutOfFuel, run
 from .registry import registered
-from .words import index_word, unpair, word_index
+from .words import decimal, index_word, unpair, word_index
 
 DEFAULT_FUEL = 10 ** 6
 _RUNS = re.compile("0+|1+")  # the maximal runs of a word
@@ -148,9 +148,9 @@ def parse_dimacs(text: str) -> CnfFormula:
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise MalformedCnf("bad problem line: %r" % line)
-            num_vars = int(fields[2])
+            num_vars = decimal(fields[2])
             continue
-        tokens.extend(int(tok) for tok in line.split())
+        tokens.extend(decimal(tok, signed=True) for tok in line.split())
     if num_vars is None:
         raise MalformedCnf("missing problem line")
     clauses = []

@@ -28,6 +28,17 @@ def word_index(w: str) -> int:
     return (1 << len(w)) - 1 + int(w, 2)
 
 
+def decimal(text: str, signed: bool = False) -> int:
+    """The integer an ASCII decimal numeral spells: one or more of 0-9, after
+    one leading "-" when signed.  Any other text, the non-ASCII digits, "_",
+    "+" and spaces that int() accepts among them, is a ValueError with
+    int()'s message."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("invalid literal for int() with base 10: %r" % text)
+    return int(text)
+
+
 def pair(x: int, y: int) -> int:
     """Cantor pairing (x+y)(x+y+1)/2 + y; a degree-2 polynomial bijection."""
     s = x + y

@@ -75,6 +75,8 @@ CASES = [
     case("tm-run", "flip.tm", "1", "--fuel", "-1"),
     case("tm-run", "flip.tm", "1", "--fuel", "ten"),
     case("tm-run", "far.tm", "01"),
+    case("tm-run", "arabic.tm", "1"),  # state written with an Arabic-Indic digit
+    case("tm-run", "super.tm", "1"),  # state written with a superscript two
     # tm-encode
     case("tm-encode", "halt1.tm"),
     case("tm-encode", "flip.tm"),
@@ -100,6 +102,7 @@ CASES = [
     case("tm-decode", "28", "--human"),
     case("tm-decode", "-7"),
     case("tm-decode", "abc"),
+    case("tm-decode", "1_000"),
     # clock-run
     case("clock-run", "keep.tm", "11", "--clock", "poly:1"),
     case("clock-run", "identity.tm", "11", "--clock", "poly:2"),
@@ -112,6 +115,9 @@ CASES = [
     case("clock-run", "flip.tm", "0", "--clock", "bogus"),
     case("clock-run", "flip.tm", "0", "--clock", "fgh:3"),
     case("clock-run", "flip.tm", "0"),
+    case("clock-run", "walker.tm", "11", "--clock", "poly:40"),  # still going at STEP_CAP
+    case("clock-run", "walker.tm", "1", "--clock", "poly:1_0"),
+    case("clock-run", "walker.tm", "1", "--clock", "poly:+3"),
     # sat-verify
     case("sat-verify", "68"),
     case("sat-verify", "0"),
@@ -137,6 +143,9 @@ CASES = [
     case("sat-solve", "--dimacs", "unsat.cnf", "--human"),
     case("sat-solve"),
     case("sat-solve", "9", "--dimacs", "sat.cnf"),
+    case("sat-solve", "--dimacs", "unsat16.cnf"),  # 2^16 x 2 literals: at the work bound
+    case("sat-solve", "--dimacs", "unsat40.cnf"),  # 2^40 x 2 literals: past it
+    case("sat-solve", "\u0664"),  # Arabic-Indic four
     # fna-search
     case("fna-search", "0", "--budget", "100"),
     case("fna-search", "0", "--budget", "1"),
@@ -171,6 +180,7 @@ CASES = [
     case("ord-eval", "w^" * 1200 + "1", "2"),
     case("ord-eval", "2", "-3"),
     case("ord-eval", "w+", "2"),
+    case("ord-eval", "\u0661", "2"),  # Arabic-Indic one
     # ord-fs
     case("ord-fs", "w^w", "2"),
     case("ord-fs", "w*3", "4"),
@@ -194,6 +204,8 @@ CASES = [
     case("dominate", "eps0@x", "fgh:1", "--lo", "0", "--hi", "1"),
     case("dominate", "fgh:2@", "fgh:1", "--lo", "0", "--hi", "1"),
     case("dominate", "fgh:2", "fgh:1"),
+    case("dominate", "fgh:1", "fgh:0", "--lo", "0", "--hi", "100000000000"),
+    case("dominate", "fgh:1", "table:\u0663,4", "--lo", "0", "--hi", "1"),
     # qfam-build
     case("qfam-build", "1", "1", "--no-registry"),
     case("qfam-build", "2", "3", "--no-registry"),

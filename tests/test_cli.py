@@ -14,6 +14,7 @@ from tmlab import cli
 from tmlab.codec import encode_table
 from tmlab.machines import MachineTable, Rule, format_tm_text
 
+GOLDEN = Path(__file__).parent / "golden"
 IDENTITY = ""  # zero rules: halts immediately, tape untouched
 LOOPER = "1 0 1 0 N\n1 1 1 1 N\n1 _ 1 _ N\n"
 
@@ -151,6 +152,22 @@ def test_sat_solve_dimacs(tm, capsys):
     assert rec["outcome"]["y"] == 0 and rec["outcome"]["witnessed"] is False
 
 
+def test_sat_solve_work_bound(tm, capsys):
+    # 2^n assignments times the literal count: 2^16 * 2 is the bound itself
+    assert cli.SOLVE_WORK_BOUND == 2 ** 17
+    inside = tm("p cnf 16 2\n16 0\n-16 0\n", "inside.cnf")
+    past = tm("p cnf 17 2\n17 0\n-17 0\n", "past.cnf")
+    wide = tm("p cnf 15 5\n15 0\n-15 1 0\n-1 2 0\n-2 3 0\n-3 0\n", "wide.cnf")  # 2^15 * 8
+    for path in (inside, past, wide):
+        assert cli.main(["sat-solve", "--dimacs", path]) == 0
+    got = [r["outcome"] for r in records(capsys)]
+    assert got[0] == {"y": 0, "assignment": "", "witnessed": False}
+    assert got[1:] == [{"kind": "budget-exceeded"}] * 2
+    # a malformed formula word costs nothing and still answers
+    assert cli.main(["sat-solve", str(2 ** 100)]) == 0
+    assert records(capsys)[0]["outcome"]["y"] == 0
+
+
 def test_fna_search_found(capsys):
     assert cli.main(["fna-search", "0", "--budget", "100"]) == 0
     (rec,) = records(capsys)
@@ -236,6 +253,7 @@ def test_dominate(capsys):
 @pytest.mark.parametrize("window, message", [
     (("-3", "2"), "must be >= 0"),
     (("5", "2"), "0 <= lo <= hi"),
+    (("0", "100000000000"), "has more than 4096 points"),
 ])
 def test_dominate_bad_window_is_usage_error(window, message, capsys):
     lo, hi = window
@@ -340,6 +358,16 @@ def test_eps0_levels_past_budget_answer_at_once(argv, outcome):
     assert _child_outcome(argv) == outcome
 
 
+@pytest.mark.parametrize("argv", [
+    # walker moves right forever, under a bound of 2^40 + 40 steps
+    ["clock-run", str(GOLDEN / "walker.tm"), "11", "--clock", "poly:40"],
+    # 2^40 assignments of an unsatisfiable pair of unit clauses
+    ["sat-solve", "--dimacs", str(GOLDEN / "unsat40.cnf")],
+])
+def test_work_past_desk_reach_answers_at_once(argv):
+    assert _child_outcome(argv) == {"kind": "budget-exceeded"}
+
+
 def test_family_word_past_decode_budget_answers_at_once():
     # family word: level 3, n = 8, width 16.  F_3(8) is past the decoder's
     # 10^4-call budget, so the word decodes to the trivial machine without
@@ -405,6 +433,12 @@ def test_negative_amounts_are_usage_errors(argv, capsys):
     got = capsys.readouterr()
     assert got.out == ""
     assert "error:" in got.err and "must be >= 0" in got.err
+
+
+@pytest.mark.parametrize("text", ["1_000", "+3", " 3", "\u0664", "\u00b2"])
+def test_numbers_are_ascii_digits_only(text, capsys):
+    assert cli.main(["tm-decode", text]) == 1
+    assert "not an integer: %r" % text in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ import pytest
 from conftest import all_words, random_table
 from tmlab.clocks import (
     BOUND_BITS,
+    STEP_CAP,
     BudgetExceeded,
     ClockedMachine,
     Parametrized,
@@ -40,6 +41,23 @@ def test_clock_bound_past_desk_reach_answers_at_once():
             clock_bound(PlainPoly(e), n)
     with pytest.raises(BudgetExceeded):
         clocked_run(ClockedMachine(LOOP_ON_ONES, parse_clock("fgh:2:40")), "11")
+
+
+def test_step_cap():
+    # a head-still loop is cut at once, so only the bound decides here
+    loop = ClockedMachine(LOOP_ON_ONES, PlainPoly(STEP_CAP - 1))
+    assert clocked_run(loop, "1") == ("0", STEP_CAP, True)  # bound 1 + E
+    with pytest.raises(BudgetExceeded, match="still going at the %d-step cap" % STEP_CAP):
+        clocked_run(ClockedMachine(LOOP_ON_ONES, PlainPoly(STEP_CAP)), "1")
+    # a walker really runs STEP_CAP steps before it is given up
+    walker = MachineTable(tuple(Rule(1, a, 1, a, "R") for a in "01_"))
+    assert clocked_run(ClockedMachine(walker, PlainPoly(18)), "11") \
+        == ("0", 2 ** 18 + 18, True)
+    with pytest.raises(BudgetExceeded):
+        clocked_run(ClockedMachine(walker, PlainPoly(40)), "11")
+    # a run that halts under a bound past the cap answers as before
+    assert clocked_run(ClockedMachine(trivial_machine(), PlainPoly(40)), "11") \
+        == ("11", 0, False)
 
 
 def test_plain_poly_validation():
@@ -105,7 +123,8 @@ def test_clock_text_roundtrip(text, clock):
 
 
 def test_parse_clock_rejects_garbage():
-    for bad in ["", "poly:", "poly:x", "fgh:w", "lin:3"]:
+    for bad in ["", "poly:", "poly:x", "fgh:w", "lin:3",
+                "poly:1_0", "poly:+3", "poly: 3", "poly:\u0663", "fgh:1:\u0663", "fgh:1:+2"]:
         with pytest.raises(ValueError):
             parse_clock(bad)
 

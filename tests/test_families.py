@@ -99,10 +99,14 @@ def test_q_table_zero_threshold():
 
 
 def test_q_build_overflow_and_budget():
+    solved = families._solved.cache_info().currsize
     with pytest.raises(BudgetExceeded, match="out of desk reach"):
         build_q_table(ORD1, 3000)  # threshold 6000 exceeds the desk cap
     with pytest.raises(BudgetExceeded):
         build_q_table(ord_parse("3"), 8, eval_budget=10 ** 4)
+    # refused before any position is solved, so the cache stays within the cap
+    assert families._solved.cache_info().currsize == solved
+    assert families.DESK_THRESHOLD_BOUND == 1 << 12
 
 
 _FRESH_DECODE = """
@@ -277,6 +281,15 @@ def test_file_registry_header_validation(tmp_path):
     path.write_text("something else\n3\n")
     with pytest.raises(ValueError):
         FRegistry(path).load()
+
+
+def test_file_registry_overwrites_a_stale_temp_file(tmp_path):
+    # a writer killed between its write and its rename leaves the temp file
+    path = tmp_path / "fregistry.txt"
+    (tmp_path / "fregistry.txt.tmp").write_text("torn")
+    FRegistry(path).add(5)
+    assert FRegistry(path).load() == {5}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fregistry.txt", "fregistry.txt.lock"]
 
 
 def test_register_with_file_backing(tmp_path):

@@ -20,6 +20,7 @@ from tmlab.hierarchy import (
     fgh_eval,
     fn_at_least,
     fn_eval,
+    WINDOW_POINTS,
     parse_fn_descriptor,
     poly_eval,
 )
@@ -232,7 +233,9 @@ def test_descriptor_roundtrip(text):
 
 
 def test_descriptor_rejects_garbage():
-    for bad in ["", "fgh:", "poly:1", "table:", "fgh:w@poly:", "table:0,-5"]:
+    for bad in ["", "fgh:", "poly:1", "table:", "fgh:w@poly:", "table:0,-5",
+                "table:\u0663,4", "table:1_0", "table:+3", "fgh:1@poly:\u0663", "fgh:1@poly:1_0",
+                "fgh:\u0663"]:
         with pytest.raises(ValueError):
             parse_fn_descriptor(bad)
 
@@ -320,6 +323,15 @@ def test_dominates_unknown_when_g_unevaluable():
     got = dominates_on_window(parse_fn_descriptor("fgh:2"),
                               parse_fn_descriptor("fgh:3"), (8, 9), 10 ** 4)
     assert got == Unknown(8)  # F_3(8) cannot be materialized for comparison
+
+
+def test_dominates_window_length_bound():
+    f = parse_fn_descriptor("table:0")
+    # table values run out at x = 1, so a long window answers at once
+    assert dominates_on_window(f, f, (0, WINDOW_POINTS - 1), BIG) == Unknown(1)
+    for window in [(0, WINDOW_POINTS), (5, 5 + WINDOW_POINTS), (0, 10 ** 11)]:
+        with pytest.raises(ValueError, match="has more than %d points" % WINDOW_POINTS):
+            dominates_on_window(f, f, window, BIG)
 
 
 def test_dominates_table_window():

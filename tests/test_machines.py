@@ -128,6 +128,12 @@ def test_tm_text_rejects_garbage():
         parse_tm_text("1 0 2 1\n")
     with pytest.raises(InvalidTable):
         parse_tm_text("1 2 0 0 N\n")
+    # an Arabic-Indic one, a superscript two, "_" and a sign are not states
+    for state in ["\u0661", "\u00b2", "1_0", "+1"]:
+        with pytest.raises(InvalidTable, match="states must be decimal naturals"):
+            parse_tm_text("%s 0 0 1 R\n" % state)
+        with pytest.raises(InvalidTable, match="states must be decimal naturals"):
+            parse_tm_text("1 0 %s 1 R\n" % state)
 
 
 def _runs_equal(a, b):

@@ -49,7 +49,8 @@ def test_parse_tower_is_right_associative():
     assert ord_parse("w^w^w") == omega_power(omega_power(OMEGA))
 
 
-@pytest.mark.parametrize("bad", ["", "w^", "2^w", "w*", "+", "w)(", "x", "w^()"])
+@pytest.mark.parametrize("bad", ["", "w^", "2^w", "w*", "+", "w)(", "x", "w^()",
+                                 "\u0661", "w*\u0663", "1\u0660", "\u00b2"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ParseError):
         ord_parse(bad)

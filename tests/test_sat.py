@@ -11,7 +11,7 @@ import pytest
 
 import tmlab
 from tmlab import registry
-from tmlab.clocks import ClockedMachine, Parametrized, clocked_run
+from tmlab.clocks import ClockedMachine, Parametrized, PlainPoly, clocked_run
 from tmlab.codec import decode_index, encode_table, is_sigma_image, sigma_embed
 from tmlab.families import build_q_table
 from tmlab.machines import Halted, MachineTable, Rule, run
@@ -29,6 +29,7 @@ from tmlab.sat import (
     f_neg_A,
     f_prime,
     parse_dimacs,
+    scan,
     solve_E,
     verify,
     verify_cost,
@@ -237,6 +238,10 @@ def test_dimacs_rejects():
     for bad in ["1 2 0\n", "p sat 2 1\n1 0\n", "p cnf 1 1\n2 0\n"]:
         with pytest.raises(MalformedCnf):
             parse_dimacs(bad)
+    for bad in ["p cnf \u0663 1\n1 0\n", "p cnf 3 1\n\u0661 0\n", "p cnf 3 1\n1_0 0\n",
+                "p cnf 3 1\n+1 0\n", "p cnf -1 0\n"]:
+        with pytest.raises(ValueError):
+            parse_dimacs(bad)
 
 
 def test_formula_constructor_validation():
@@ -289,6 +294,17 @@ def test_failure_scan_indeterminate_on_looping_machine():
     with pytest.raises(IndeterminateSearch) as info:
         f_neg_A(encode_table(loop), 10, fuel=50)
     assert info.value.z == 0
+
+
+def test_failure_scan_indeterminate_at_step_cap():
+    # erases a lone "0" and halts with the empty word, the answer for the empty
+    # formula "0"; on "00", the same formula, it walks right forever
+    walker = MachineTable((Rule(1, "0", 2, "_", "R"), Rule(2, "0", 3, "0", "R"),
+                           *(Rule(3, a, 3, a, "R") for a in "01_")))
+    # z = pair(3, 0) = 6 consults the walker on "00" under a bound of 2^40 + 40
+    with pytest.raises(IndeterminateSearch) as info:
+        scan(ClockedMachine(walker, PlainPoly(40)), 10, DEFAULT_FUEL)
+    assert info.value.z == 6
 
 
 _FAR_CLOCK_SCAN = """

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import all_words
-from tmlab.words import index_word, pair, proj1, proj2, unpair, word_index
+from tmlab.words import decimal, index_word, pair, proj1, proj2, unpair, word_index
 
 FIRST_SEVEN = ["", "0", "1", "00", "01", "10", "11"]
 
@@ -74,3 +74,17 @@ def test_unpair_inverts_pair(z):
        st.integers(min_value=0, max_value=10 ** 9))
 def test_pair_inverts_unpair(x, y):
     assert unpair(pair(x, y)) == (x, y)
+
+
+def test_decimal_reads_ascii_numerals_only():
+    assert decimal("0") == 0
+    assert decimal("007") == 7
+    assert decimal("12345678901234567890") == 12345678901234567890
+    assert decimal("-3", signed=True) == -3
+    # int() accepts all of these; a desk numeral is ASCII digits only
+    for bad in ["", "-3", "+3", "1_000", " 5", "5 ", "\u0664", "\u00b2", "\uff15", "0x1"]:
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            decimal(bad)
+    for bad in ["-", "--3", "+3", "-\u0663", "- 3"]:
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            decimal(bad, signed=True)
