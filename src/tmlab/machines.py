@@ -117,9 +117,13 @@ class MachineTable:
         return MachineTable(tuple(order))
 
 
+_TRIVIAL = MachineTable(())
+
+
 def trivial_machine() -> MachineTable:
-    """The zero-rule table; computes the identity in zero steps."""
-    return MachineTable(())
+    """The zero-rule table; computes the identity in zero steps.  Tables are
+    frozen, so every caller shares one instance and its compiled program."""
+    return _TRIVIAL
 
 
 @dataclass(frozen=True, slots=True)
