@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .clocks import (BudgetExceeded, ClockedMachine, clock_bound, clocked_run,
+from .clocks import (BOUND_BITS, BudgetExceeded, ClockedMachine, clock_bound, clocked_run,
                      format_clock, parse_clock)
 from .codec import ClockedTable, decode_index, encode_table
 from .families import build_Q, clock_stride_analysis, differences, peak_probe, stride_analysis
@@ -122,9 +122,14 @@ def _cmd_clock_run(args):
 
 
 def _dimacs_x(path: str) -> int:
-    """Formula position of a DIMACS file."""
+    """Formula position of a DIMACS file.  A formula word longer than
+    BOUND_BITS bits is a ValueError: its position would not print as a
+    decimal record at desk speed."""
     with open(path) as f:
-        return word_index(encode_cnf(parse_dimacs(f.read())))
+        word = encode_cnf(parse_dimacs(f.read()))
+    if len(word) > BOUND_BITS:
+        raise ValueError("formula word has %d bits, past %d" % (len(word), BOUND_BITS))
+    return word_index(word)
 
 
 def _sat_verify_z(args) -> int:

@@ -45,6 +45,12 @@ EPS0 = "eps0"  # the diagonal level: F_eps0(x) = F_{tau(x)}(x)
 # growing levels, still answers in about 100 ms (89 ms on a 2-core Xeon;
 # F_1 against F_0 took 15 ms)
 WINDOW_POINTS = 1 << 12
+# The call budget does not bound big-integer work, so a window also stops at
+# the first point where the g values so far pass this many bits in all: the
+# largest power of two at which the worst window under the default budget
+# still answers in about 100 ms (F_2 against F_2: 67 ms, F_3 against F_2:
+# 86 ms on a 2-core Xeon; 2^16 bits took 150 and 191 ms)
+WINDOW_BITS = 1 << 15
 
 
 def parse_level(text: str):
@@ -263,16 +269,24 @@ def dominates_on_window(f_desc: FnDescriptor, g_desc: FnDescriptor,
     Holds is a window certificate only; the relation proper quantifies over an
     unbounded tail and is not decided here.  A window that starts below 0,
     ends before it starts or has more than WINDOW_POINTS points is a
-    ValueError.
+    ValueError.  The answer is Unknown(x) at the first x where the g values
+    evaluated so far have more than WINDOW_BITS bits in all.  eps0 windows
+    can still take seconds at small values: there the time goes into
+    re-validating the ordinals every evaluator call builds, which neither
+    bound counts.
     """
     lo, hi = window
     if not 0 <= lo <= hi:
         raise ValueError("window [%d, %d] must have 0 <= lo <= hi" % (lo, hi))
     if hi - lo >= WINDOW_POINTS:
         raise ValueError("window [%d, %d] has more than %d points" % (lo, hi, WINDOW_POINTS))
+    bits = 0
     for x in range(lo, hi + 1):
         g = fn_eval(g_desc, x, budget)
         if g is None:
+            return Unknown(x)
+        bits += g.bit_length()
+        if bits > WINDOW_BITS:
             return Unknown(x)
         ok = fn_at_least(f_desc, x, g, budget)
         if ok is UNKNOWN:

@@ -136,6 +136,7 @@ CASES = [
     case("sat-verify", "--dimacs", "bad.cnf"),
     case("sat-verify", "--dimacs", "sat.cnf", "--assign", "2"),
     case("sat-verify", "--dimacs", "no-such-file.cnf"),
+    case("sat-verify", "--dimacs", "unit10m.cnf", "--assign", "1"),  # word past BOUND_BITS
     # sat-solve
     case("sat-solve", "9"),
     case("sat-solve", "0"),
@@ -146,6 +147,7 @@ CASES = [
     case("sat-solve", "--dimacs", "unsat16.cnf"),  # 2^16 x 2 literals: at the work bound
     case("sat-solve", "--dimacs", "unsat40.cnf"),  # 2^40 x 2 literals: past it
     case("sat-solve", "\u0664"),  # Arabic-Indic four
+    case("sat-solve", "--dimacs", "unit10m.cnf"),  # a 10^7 + 2-bit word: past BOUND_BITS
     # fna-search
     case("fna-search", "0", "--budget", "100"),
     case("fna-search", "0", "--budget", "1"),
@@ -206,6 +208,7 @@ CASES = [
     case("dominate", "fgh:2", "fgh:1"),
     case("dominate", "fgh:1", "fgh:0", "--lo", "0", "--hi", "100000000000"),
     case("dominate", "fgh:1", "table:\u0663,4", "--lo", "0", "--hi", "1"),
+    case("dominate", "fgh:2", "fgh:2", "--lo", "0", "--hi", "4095"),  # past WINDOW_BITS at 255
     # qfam-build
     case("qfam-build", "1", "1", "--no-registry"),
     case("qfam-build", "2", "3", "--no-registry"),

@@ -5,12 +5,14 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import tmlab
 from tmlab import cli
+from tmlab.clocks import BOUND_BITS
 from tmlab.codec import encode_table
 from tmlab.machines import MachineTable, Rule, format_tm_text
 
@@ -166,6 +168,26 @@ def test_sat_solve_work_bound(tm, capsys):
     # a malformed formula word costs nothing and still answers
     assert cli.main(["sat-solve", str(2 ** 100)]) == 0
     assert records(capsys)[0]["outcome"]["y"] == 0
+
+
+def test_dimacs_word_bound(tm, capsys):
+    # one unit clause on variable v is the word 0 1^v 0, of v + 2 bits
+    inside = tm("p cnf %d 1\n%d 0\n" % ((BOUND_BITS - 2,) * 2), "inside.cnf")
+    past = tm("p cnf %d 1\n%d 0\n" % ((BOUND_BITS - 1,) * 2), "past.cnf")
+    for argv, outcome in [(["sat-solve", "--dimacs", inside], {"kind": "budget-exceeded"}),
+                          (["sat-verify", "--dimacs", inside, "--assign", "1"], {"value": 0})]:
+        start = time.perf_counter()
+        assert cli.main(argv) == 0
+        assert time.perf_counter() - start < 1
+        (rec,) = records(capsys)
+        assert rec["outcome"] == outcome
+    for argv in (["sat-solve", "--dimacs", past],
+                 ["sat-verify", "--dimacs", past, "--assign", "1"]):
+        assert cli.main(argv) == 1
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert "error: formula word has %d bits, past %d" % (BOUND_BITS + 1, BOUND_BITS) \
+            in got.err
 
 
 def test_fna_search_found(capsys):
@@ -332,16 +354,21 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def _child_outcome(argv):
-    """The outcome of one tmlab invocation in a child capped at 1 GB of
-    address space and 10 s, so that a runaway build fails the test instead
-    of swapping or stalling the suite."""
+def _child(argv):
+    """One tmlab invocation in a child capped at 1 GB of address space and
+    10 s, so that a runaway build fails the test instead of swapping or
+    stalling the suite."""
     src = str(Path(tmlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("CLOCKWORK_BUDGET", None)
-    got = subprocess.run([sys.executable, "-m", "tmlab", *argv], env=env,
-                         capture_output=True, text=True, timeout=10,
-                         preexec_fn=_limit_memory)
+    return subprocess.run([sys.executable, "-m", "tmlab", *argv], env=env,
+                          capture_output=True, text=True, timeout=10,
+                          preexec_fn=_limit_memory)
+
+
+def _child_outcome(argv):
+    """The outcome of one tmlab invocation run by _child."""
+    got = _child(argv)
     assert got.returncode == 0, got.stderr
     (line,) = got.stdout.splitlines()
     return json.loads(line)["outcome"]
@@ -366,6 +393,24 @@ def test_eps0_levels_past_budget_answer_at_once(argv, outcome):
 ])
 def test_work_past_desk_reach_answers_at_once(argv):
     assert _child_outcome(argv) == {"kind": "budget-exceeded"}
+
+
+def test_window_past_work_bound_answers_at_once():
+    # 4,096 points of F_2 against itself: the values' bits pass WINDOW_BITS
+    # at x = 255, long before the call budget would stop anything
+    assert _child_outcome(["dominate", "fgh:2", "fgh:2", "--lo", "0", "--hi", "4095"]) \
+        == {"kind": "unknown", "x": 255}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sat-solve", "--dimacs", str(GOLDEN / "unit10m.cnf")],
+    ["sat-verify", "--dimacs", str(GOLDEN / "unit10m.cnf"), "--assign", "1"],
+])
+def test_dimacs_word_past_bound_is_usage_error_at_once(argv):
+    # one unit clause on variable 10^7: its position would print for minutes
+    got = _child(argv)
+    assert (got.returncode, got.stdout) == (1, "")
+    assert got.stderr.startswith("error: formula word has 10000002 bits")
 
 
 def test_family_word_past_decode_budget_answers_at_once():

@@ -33,6 +33,43 @@ def test_trivial_table_is_position_zero():
     assert decode_index(0) == trivial_machine()
 
 
+def test_plain_fallbacks_are_the_shared_trivial_machine(monkeypatch):
+    # Every word of length 1..15.  A plain zero-rule answer past position 0
+    # is a fallback, and it allocates nothing.  At a decoder budget of 100
+    # the eps0 clocks near k = 3 fall back at once instead of after seconds.
+    monkeypatch.setattr(codec, "DECODE_EVAL_BUDGET", 100)
+    trivial = trivial_machine()
+    fallbacks = 0
+    for i in range(1, (1 << 16) - 1):
+        got = decode_index(i)
+        if isinstance(got, MachineTable) and not got.rules:
+            assert got is trivial, i
+            fallbacks += 1
+    assert fallbacks == 65459
+
+
+def test_machine_block_rejects_by_last_code_as_the_parser_does():
+    # Every word of length 1..15 without the family tag, and table texts
+    # (none fits in 15 bits) with each of the 8 last codes and a bit more or
+    # less: testing the last code first answers what unpacking and parsing
+    # the whole text would.
+    words = [index_word(i) for i in range(1, (1 << 16) - 1)]
+    rng = random.Random(14)
+    for _ in range(60):
+        packed = codec._pack(codec.table_text(random_table(rng)))
+        words += [packed[:-3] + format(c, "03b") for c in range(8)] if packed else []
+        words += [packed + "1", packed[:-1]]
+    accepted = 0
+    for bits in words:
+        if bits.startswith(codec.TAG_FAMILY):
+            continue
+        text = codec._unpack(bits)
+        want = None if text is None else codec._parse_table_text(text)
+        assert codec._machine_block(bits) == want, bits
+        accepted += want is not None
+    assert accepted > 40
+
+
 def test_encode_decode_roundtrip_random_tables():
     rng = random.Random(5)
     for _ in range(80):

@@ -20,6 +20,7 @@ from tmlab.hierarchy import (
     fgh_eval,
     fn_at_least,
     fn_eval,
+    WINDOW_BITS,
     WINDOW_POINTS,
     parse_fn_descriptor,
     poly_eval,
@@ -332,6 +333,20 @@ def test_dominates_window_length_bound():
     for window in [(0, WINDOW_POINTS), (5, 5 + WINDOW_POINTS), (0, 10 ** 11)]:
         with pytest.raises(ValueError, match="has more than %d points" % WINDOW_POINTS):
             dominates_on_window(f, f, window, BIG)
+
+
+def test_dominates_window_work_bound():
+    # F_2(x) = 2^x has x + 1 bits, so the g values over [0, x] have
+    # (x + 1)(x + 2) / 2 bits in all: 32,640 at x = 254, 32,896 at x = 255
+    assert WINDOW_BITS == 1 << 15
+    f2 = parse_fn_descriptor("fgh:2")
+    assert dominates_on_window(f2, f2, (0, 254), 10 ** 4) == Holds()
+    assert dominates_on_window(f2, f2, (0, WINDOW_POINTS - 1), 10 ** 4) == Unknown(255)
+    # the bound counts every kind of g value, from where the window starts
+    big = TableFn((0, 0, 1 << WINDOW_BITS))
+    assert dominates_on_window(big, big, (1, 2), BIG) == Unknown(2)
+    assert dominates_on_window(big, TableFn((0, 0, 1 << (WINDOW_BITS - 1))), (1, 2), BIG) \
+        == Holds()
 
 
 def test_dominates_table_window():
