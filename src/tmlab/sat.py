@@ -5,19 +5,22 @@ A formula is written as runs over {0,1}: each 1-run is a variable index, each
 new clause starts.  verify checks a paired (formula word, assignment word)
 position; solve_E scans assignments in word order and returns the position of
 the first satisfying one (0 when there is none, and 0 doubles as the honest
-answer on malformed words).  f_neg_A hunts for a position z where a candidate
-solver's answer fails a satisfiable formula.
+answer on malformed words).  f_neg_A hunts for the least position z where a
+candidate solver's answer fails a satisfiable formula; its scan finds each
+formula's first verifying z with the same first-solution search as solve_E.
 """
 
 import re
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 from typing import Optional, Union
 
 from .clocks import BudgetExceeded, ClockedMachine, clocked_run
 from .codec import decode_index, is_sigma_image
 from .machines import OutOfFuel, run
 from .registry import registered
-from .words import decimal, index_word, unpair, word_index
+from .words import decimal, index_word, pair, unpair, word_index
 
 DEFAULT_FUEL = 10 ** 6
 _RUNS = re.compile("0+|1+")  # the maximal runs of a word
@@ -185,11 +188,14 @@ def _satisfies(f: CnfFormula, assignment: str) -> tuple:
     return 1, looked
 
 
-def _check(f: CnfFormula, assignment: str) -> int:
-    """1 iff the assignment word has exactly f's variable count and satisfies f."""
-    if len(assignment) != f.num_vars:
-        return 0
-    return _satisfies(f, assignment)[0]
+def _solution(f: CnfFormula) -> Optional[str]:
+    """The first assignment word of f's length, in enumeration order, that
+    satisfies f; None when there is none."""
+    for value in range(1 << f.num_vars, 2 << f.num_vars):
+        assignment = bin(value)[3:]  # the num_vars bits below value's top bit
+        if _satisfies(f, assignment)[0]:
+            return assignment
+    return None
 
 
 def _formula_or_none(word: str) -> Optional[CnfFormula]:
@@ -223,14 +229,8 @@ def solve_E(x: int) -> int:
     scanning assignments in enumeration order; 0 when unsatisfiable or
     malformed.  Exponential in the number of variables by design."""
     f = _formula_or_none(index_word(x))
-    if f is None:
-        return 0
-    n = f.num_vars
-    for value in range(1 << n):
-        assignment = format(value, "b").zfill(n) if n else ""
-        if _satisfies(f, assignment)[0]:
-            return word_index(assignment)
-    return 0
+    got = None if f is None else _solution(f)
+    return 0 if got is None else word_index(got)
 
 
 def f_neg_A(m: int, budget: int, fuel: int = DEFAULT_FUEL) -> SearchOutcome:
@@ -247,41 +247,35 @@ def scan(machine, budget: int, fuel: int) -> SearchOutcome:
     or the clock's bound is past desk reach, the scan raises
     IndeterminateSearch at that z.
 
-    Each formula word is decoded once per scan, and the machine is consulted
-    once per formula, at the first z that verifies for it; that verdict is
-    reused for the later z on the same formula."""
+    The first z that verifies for formula word x is pair(x, y) at the first
+    solution y of x's formula, so the scan visits formula words, not pair
+    codes: x = 0, 1, ... while pair(x, 0) is below the budget, about
+    sqrt(2 * budget) of them.  Each x waits on a heap at that z, and the
+    machine is consulted on it once no later x can verify before it; the z
+    where the answer fails the formula is the least counterexample."""
     clocked = isinstance(machine, ClockedMachine)
-    formulas = {}  # x -> formula of index_word(x), None when malformed
-    fails = {}  # x -> whether the answer on x fails that formula
-    base = 0  # z = base + y walks the diagonal x + y = s
-    s = 0
-    while base < budget:
-        for y in range(min(s + 1, budget - base)):
-            x = s - y
+    queue = []  # (first verifying z, formula word, formula)
+    for x in count():
+        start = pair(x, 0)  # no z of x or of a later word is smaller
+        while queue and queue[0][0] < start:
+            z, word, f = heappop(queue)
             try:
-                f = formulas[x]
-            except KeyError:
-                f = formulas[x] = _formula_or_none(index_word(x))
-            # a word's length is (position + 1).bit_length() - 1
-            if f is None or (y + 1).bit_length() - 1 != f.num_vars:
-                continue
-            if not _check(f, index_word(y)):
-                continue
-            verdict = fails.get(x)
-            if verdict is None:
-                word = index_word(x)
-                try:
-                    got = clocked_run(machine, word) if clocked else run(machine, word, fuel)
-                except BudgetExceeded:
-                    got = None
-                if got is None or isinstance(got, OutOfFuel):
-                    raise IndeterminateSearch(base + y)
-                verdict = fails[x] = _check(f, got.output) == 0
-            if verdict:
-                return Found(base + y, base + y)
-        base += s + 1
-        s += 1
-    return Exhausted(budget)
+                got = clocked_run(machine, word) if clocked else run(machine, word, fuel)
+            except BudgetExceeded:
+                got = None
+            if got is None or isinstance(got, OutOfFuel):
+                raise IndeterminateSearch(z)
+            if len(got.output) != f.num_vars or not _satisfies(f, got.output)[0]:
+                return Found(z, z)
+        if start >= budget:
+            return Exhausted(budget)
+        word = index_word(x)
+        f = _formula_or_none(word)
+        solution = None if f is None else _solution(f)
+        if solution is not None:
+            z = pair(x, word_index(solution))
+            if z < budget:
+                heappush(queue, (z, word, f))
 
 
 def f_prime(m: int, budget: int, fuel: int = DEFAULT_FUEL,

@@ -41,6 +41,7 @@ FAMILY_1_0 = "3590592662364"  # family word: level 1, n = 0, width 16
 FAMILY_1_1 = 3590592678748  # family word: level 1, n = 1, width 16
 FAMILY_EPS0_1 = "112206021468"  # family word: eps0, n = 1, width 16
 FAMILY_200_2 = "229248753256540"  # family word: level 200, n = 2, width 8
+FAMILY_1_2048 = "3590626216796"  # family word: level 1, n = 2048, width 16
 SIGMA_POLY = "141397806663293158498560927150"  # flip.tm under poly:1
 SIGMA_EPS0 = "1970180"  # trivial machine under the eps0 clock at k = 2
 SIGMA_F2 = "252183849"  # trivial machine under fgh:2 at k = 5
@@ -157,6 +158,7 @@ CASES = [
     case("fna-search", str(FAMILY_1_1), "--budget", "10", "--guarded",
          "--registry", "{registry}", seed=[FAMILY_1_1]),
     case("fna-search", SIGMA_POLY, "--budget", "200", "--guarded", "--no-registry"),
+    case("fna-search", FAMILY_1_2048, "--budget", "100000000"),  # threshold 4096
     case("fna-search", "0", env={"CLOCKWORK_BUDGET": "77"}),
     case("fna-search", "0", "--budget", "30", env={"CLOCKWORK_BUDGET": "77"}),
     case("fna-search", "0", "--budget", "100", "--human"),

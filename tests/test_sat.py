@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import groupby, product
 from pathlib import Path
 
@@ -305,6 +306,16 @@ def test_failure_scan_indeterminate_at_step_cap():
     with pytest.raises(IndeterminateSearch) as info:
         scan(ClockedMachine(walker, PlainPoly(40)), 10, DEFAULT_FUEL)
     assert info.value.z == 6
+
+
+def test_failure_scan_cost_follows_formula_words_not_budget():
+    # the level-1 member with threshold 4096: about 14,000 formula words lie
+    # below a budget of 10^8, and the counterexample is z = 10,716,138
+    machine = decode_index(3590626216796)
+    start = time.perf_counter()
+    got = scan(machine, 10 ** 8, DEFAULT_FUEL)
+    assert time.perf_counter() - start < 0.3
+    assert got == Found(10716138, 10716138)
 
 
 _FAR_CLOCK_SCAN = """

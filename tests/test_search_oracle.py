@@ -8,10 +8,13 @@ fuel.
 """
 
 import random
+import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_table
+from tmlab import sat
 from tmlab.clocks import ClockedMachine, PlainPoly, clocked_run
 from tmlab.codec import ClockedTable, decode_index, encode_table, family_index, sigma_embed
 from tmlab.machines import OutOfFuel, run
@@ -93,3 +96,55 @@ def test_fuel_starved_member_stops_at_the_same_z():
     m = family_index(ORD1, 30, 16)
     got = scan(m, 3000, 5)
     assert got == per_z_scan(m, 3000, 5) == ("indeterminate", 234)
+
+
+def _consults(m: int, budget: int, fuel: int) -> tuple:
+    """(f_neg_A's outcome, the words it ran the machine on, the oracle's
+    outcome, the words the oracle consulted the machine on)."""
+    ran, consulted = [], []
+
+    def logged(runner):
+        def call(machine, word, *rest):
+            ran.append(word)
+            return runner(machine, word, *rest)
+        return call
+
+    oracle_runner = _oracle_runner
+
+    def logged_oracle_runner(m: int, fuel: int):
+        answer = oracle_runner(m, fuel)
+
+        def consult(word: str) -> str:
+            consulted.append(word)
+            return answer(word)
+        return consult
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sat, "run", logged(sat.run))
+        patch.setattr(sat, "clocked_run", logged(sat.clocked_run))
+        patch.setattr(sys.modules[__name__], "_oracle_runner", logged_oracle_runner)
+        got, want = scan(m, budget, fuel), per_z_scan(m, budget, fuel)
+    return got, ran, want, consulted
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from(("table", "clocked", "family")), st.integers(0, 2 ** 30),
+       st.integers(0, 3000), st.one_of(st.integers(0, 40), st.just(10 ** 6)))
+def test_scan_consults_the_machine_in_the_oracle_order(kind, seed, budget, fuel):
+    m = _machine(kind, random.Random(seed))
+    got, ran, want, consulted = _consults(m, budget, fuel)
+    assert got == want
+    assert ran == consulted
+
+
+def test_a_later_formula_word_can_fail_first():
+    # The member with threshold 76 answers "0" past position 76.  That fails
+    # formula word 77 (not x3), first verified at z = 3577, and word 80
+    # (x1 and x1), first verified at z = 3405: the counterexample is the
+    # later word's smaller z, and word 77 is never run.
+    assert pair(80, word_index("1")) == 3405 < pair(77, word_index("000")) == 3577
+    m = family_index(ORD1, 38, 16)
+    got, ran, want, consulted = _consults(m, 5000, 10 ** 6)
+    assert got == want == ("found", 3405)
+    assert ran == consulted
+    assert ran[-1] == index_word(80) and index_word(77) not in ran
