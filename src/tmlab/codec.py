@@ -304,7 +304,9 @@ def _machine_block(bits: str):
     table_text's image."""
     if bits.startswith(TAG_FAMILY):
         return _read_family(bits)
-    if bits and not bits.endswith(_CODE["\n"]):
+    if not bits:
+        return trivial_machine()
+    if not bits.endswith(_CODE["\n"]):
         return None  # every non-empty table text ends with a newline
     text = _unpack(bits)
     return None if text is None else _parse_table_text(text)

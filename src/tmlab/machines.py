@@ -112,9 +112,10 @@ class MachineTable:
         return tuple(prog)
 
     def canonical(self) -> "MachineTable":
-        """Same rules sorted by (state, symbol); used for order-insensitive comparison."""
-        order = sorted(self.rules, key=lambda r: (r.state, _SYM_ORDER[r.read]))
-        return MachineTable(tuple(order))
+        """Same rules sorted by (state, symbol), the table itself when they
+        already are; used for order-insensitive comparison."""
+        order = tuple(sorted(self.rules, key=lambda r: (r.state, _SYM_ORDER[r.read])))
+        return self if order == self.rules else MachineTable(order)
 
 
 _TRIVIAL = MachineTable(())

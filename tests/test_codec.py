@@ -33,6 +33,13 @@ def test_trivial_table_is_position_zero():
     assert decode_index(0) == trivial_machine()
 
 
+def test_empty_machine_block_is_the_shared_trivial_machine():
+    # position 0 and a sigma word with an empty block (the eps0 clock at
+    # k = 2) build no zero-rule table of their own
+    assert decode_index(0) is trivial_machine()
+    assert decode_index(1970180).machine is trivial_machine()
+
+
 def test_plain_fallbacks_are_the_shared_trivial_machine(monkeypatch):
     # Every word of length 1..15.  A plain zero-rule answer past position 0
     # is a fallback, and it allocates nothing.  At a decoder budget of 100

@@ -6,6 +6,8 @@ installs it at import, as `families` installs the decoder's member builder
 on `codec`.  No function rebinds a module global either: state that lives
 across calls is an object or a cache.  And no module but `machines` builds a
 zero-rule table: a fallback answers the one shared `trivial_machine()`.
+Every top-level function and class is used by the package itself or by the
+benchmark in bench/: code that only tests exercise belongs in tests/.
 """
 
 import ast
@@ -14,6 +16,7 @@ from pathlib import Path
 import tmlab
 
 PACKAGE = Path(tmlab.__file__).resolve().parent
+BENCH = PACKAGE.parents[1] / "bench"
 
 
 def _deferred_imports():
@@ -60,3 +63,36 @@ def _zero_rule_tables():
 
 def test_no_zero_rule_table_outside_machines():
     assert _zero_rule_tables() == []
+
+
+def _names(node, strings=False) -> set:
+    """Every name, attribute and imported name under node, and with strings
+    every string constant (bench/ names its spans so)."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found.add(sub.value)
+    return found
+
+
+def _unused_definitions():
+    bench = set()
+    for path in sorted(BENCH.glob("*.py")):
+        bench |= _names(ast.parse(path.read_text(), str(path)), strings=True)
+    statements = [(path.name, stmt, _names(stmt))  # __init__ only re-exports
+                  for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+                  for stmt in ast.parse(path.read_text(), str(path)).body]
+    return ["%s:%s" % (name, stmt.name) for name, stmt, _ in statements
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and stmt.name not in bench
+            and not any(stmt.name in used for _, other, used in statements if other is not stmt)]
+
+
+def test_every_definition_is_used_outside_tests():
+    assert _unused_definitions() == []

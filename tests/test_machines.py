@@ -116,6 +116,13 @@ def test_canonical_sorts_rules():
     assert [r.read for r in t.canonical().rules] == ["0", "1", "_"]
 
 
+def test_canonical_of_a_sorted_table_is_itself():
+    t = MachineTable((Rule(1, "0", 2, "1", "R"), Rule(1, "1", 2, "0", "R"),
+                      Rule(2, "_", 0, "0", "N")))
+    assert t.canonical() is t
+    assert trivial_machine().canonical() is trivial_machine()
+
+
 def test_tm_text_roundtrip():
     text = "1 0 2 1 R\n1 1 0 0 N\n2 _ 0 1 N\n"
     t = parse_tm_text(text)

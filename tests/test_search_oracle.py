@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_table
-from tmlab import sat
+from tmlab import clocks, machines, sat
 from tmlab.clocks import ClockedMachine, PlainPoly, clocked_run
 from tmlab.codec import ClockedTable, decode_index, encode_table, family_index, sigma_embed
 from tmlab.machines import OutOfFuel, run
@@ -98,31 +98,21 @@ def test_fuel_starved_member_stops_at_the_same_z():
     assert got == per_z_scan(m, 3000, 5) == ("indeterminate", 234)
 
 
+def _logged(log: list, runner):
+    def call(machine, word, *rest):
+        log.append(word)
+        return runner(machine, word, *rest)
+    return call
+
+
 def _consults(m: int, budget: int, fuel: int) -> tuple:
     """(f_neg_A's outcome, the words it ran the machine on, the oracle's
-    outcome, the words the oracle consulted the machine on)."""
+    outcome, the words the oracle ran the machine on)."""
     ran, consulted = [], []
-
-    def logged(runner):
-        def call(machine, word, *rest):
-            ran.append(word)
-            return runner(machine, word, *rest)
-        return call
-
-    oracle_runner = _oracle_runner
-
-    def logged_oracle_runner(m: int, fuel: int):
-        answer = oracle_runner(m, fuel)
-
-        def consult(word: str) -> str:
-            consulted.append(word)
-            return answer(word)
-        return consult
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sat, "run", logged(sat.run))
-        patch.setattr(sat, "clocked_run", logged(sat.clocked_run))
-        patch.setattr(sys.modules[__name__], "_oracle_runner", logged_oracle_runner)
+        for module, log in ((sat, ran), (sys.modules[__name__], consulted)):
+            patch.setattr(module, "run", _logged(log, machines.run))
+            patch.setattr(module, "clocked_run", _logged(log, clocks.clocked_run))
         got, want = scan(m, budget, fuel), per_z_scan(m, budget, fuel)
     return got, ran, want, consulted
 
