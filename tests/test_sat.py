@@ -309,8 +309,9 @@ def test_failure_scan_indeterminate_at_step_cap():
 
 
 def test_failure_scan_cost_follows_formula_words_not_budget():
-    # the level-1 member with threshold 4096: about 14,000 formula words lie
-    # below a budget of 10^8, and the counterexample is z = 10,716,138
+    # the level-1 member with threshold 4096: the counterexample at a budget
+    # of 10^8 is z = 10,716,138, and the scan visits the 4,630 formula words
+    # x with pair(x, 0) below it, not the pair codes
     machine = decode_index(3590626216796)
     start = time.perf_counter()
     got = scan(machine, 10 ** 8, DEFAULT_FUEL)
