@@ -8,6 +8,13 @@ the first satisfying one (0 when there is none, and 0 doubles as the honest
 answer on malformed words).  f_neg_A hunts for the least position z where a
 candidate solver's answer fails a satisfiable formula; its scan finds each
 formula's first verifying z with the same first-solution search as solve_E.
+
+verify, solve_E, the scan and decode_cnf read a formula word once, through one
+grammar (_clauses): a compiled pattern accepts the word and one pass over its
+literals yields the clause tuples, with no exception on a malformed word.
+verify first compares the assignment's length with the word's longest 1-run,
+its variable count, and answers 0 on a mismatch before any parsing; its op
+count charges the whole run scan whichever check answers.
 """
 
 import re
@@ -23,7 +30,12 @@ from .registry import registered
 from .words import decimal, index_word, pair, unpair, word_index
 
 DEFAULT_FUEL = 10 ** 6
-_RUNS = re.compile("0+|1+")  # the maximal runs of a word
+# The formula words: the all-zero words up to length 2, and otherwise a 0 or
+# 00 polarity prefix, literals behind separators of 1 to 4 zeros, and at most
+# one trailing zero.
+_FORMULA_WORD = re.compile("0{0,2}|0{1,2}1+(?:0{1,4}1+)*0?")
+_LITERAL = re.compile("(0+)(1+)")  # a separator and the variable index after it
+_LONG_GAP = re.compile("(?<=1)0{5,}(?=1)")  # a separator too long, for decode_cnf
 
 
 class MalformedCnf(ValueError):
@@ -97,46 +109,52 @@ def encode_cnf(f: CnfFormula) -> str:
     return "".join(bits)
 
 
+def _clauses(word: str) -> Optional[tuple]:
+    """The clause tuples of a formula word, or None when the grammar
+    rejects it.  A separator of 1 or 3 zeros makes the next literal positive,
+    2 or 4 negative; 3 and 4 start a new clause."""
+    if _FORMULA_WORD.fullmatch(word) is None:
+        return None
+    clauses = []
+    clause = []
+    for sep, ones in _LITERAL.findall(word):
+        gap = len(sep)
+        if gap > 2:  # never the first separator
+            clauses.append(tuple(clause))
+            clause = []
+        clause.append((len(ones), gap % 2 == 1))
+    if clause:
+        clauses.append(tuple(clause))
+    return tuple(clauses)
+
+
+def _num_vars(word: str) -> int:
+    """A formula word's variable count: its longest 1-run."""
+    return len(max(word.split("0")))
+
+
+def _fault(word: str) -> str:
+    """Why the grammar rejects word: the first fault a left-to-right read
+    meets."""
+    if "1" not in word:
+        return "over-long empty coding"
+    if word[0] == "1":
+        return "missing polarity prefix"
+    if word.startswith("000"):
+        return "over-long polarity prefix"
+    gap = _LONG_GAP.search(word)
+    if gap:
+        return "separator run of length %d" % len(gap.group())
+    return "over-long trailing zeros"
+
+
 def decode_cnf(word: str) -> CnfFormula:
     """Inverse of encode_cnf on its image; raises MalformedCnf elsewhere.
     All-zero words up to length 2 (and the empty word) mean the empty formula."""
-    if "1" not in word:
-        if len(word) <= 2:
-            return EMPTY_FORMULA
-        raise MalformedCnf("over-long empty coding")
-    if word[0] == "1":
-        raise MalformedCnf("missing polarity prefix")
-    runs = list(map(len, _RUNS.findall(word)))  # alternating, a 0-run first
-    lead = runs[0]
-    if lead > 2:
-        raise MalformedCnf("over-long polarity prefix")
-    positive = lead == 1
-    clauses = []
-    clause = []
-    i = 1
-    while i < len(runs):
-        var = runs[i]  # a 1-run
-        clause.append((var, positive))
-        i += 1
-        if i == len(runs):
-            break  # no trailing zeros: fine
-        gap = runs[i]
-        i += 1
-        if i == len(runs):
-            if gap > 1:
-                raise MalformedCnf("over-long trailing zeros")
-            break
-        if gap in (1, 2):
-            positive = gap == 1
-        elif gap in (3, 4):
-            clauses.append(tuple(clause))
-            clause = []
-            positive = gap == 3
-        else:
-            raise MalformedCnf("separator run of length %d" % gap)
-    clauses.append(tuple(clause))
-    num_vars = max(var for cl in clauses for var, _ in cl)
-    return CnfFormula(tuple(clauses), num_vars)
+    f = _formula_or_none(word)
+    if f is None:
+        raise MalformedCnf(_fault(word))
+    return f
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -173,12 +191,12 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(tuple(clauses), num_vars)
 
 
-def _satisfies(f: CnfFormula, assignment: str) -> tuple:
-    """(1 iff the assignment satisfies f, literals looked at): each clause is
-    scanned up to its first true literal, and the scan stops at the first
-    clause without one.  assignment[v-1] is the value of variable v."""
+def _satisfies(clauses: tuple, assignment: str) -> tuple:
+    """(1 iff the assignment satisfies the clauses, literals looked at): each
+    clause is scanned up to its first true literal, and the scan stops at the
+    first clause without one.  assignment[v-1] is the value of variable v."""
     looked = 0
-    for clause in f.clauses:
+    for clause in clauses:
         for var, positive in clause:
             looked += 1
             if assignment[var - 1] == ("1" if positive else "0"):
@@ -188,21 +206,19 @@ def _satisfies(f: CnfFormula, assignment: str) -> tuple:
     return 1, looked
 
 
-def _solution(f: CnfFormula) -> Optional[str]:
-    """The first assignment word of f's length, in enumeration order, that
-    satisfies f; None when there is none."""
-    for value in range(1 << f.num_vars, 2 << f.num_vars):
+def _solution(clauses: tuple, num_vars: int) -> Optional[str]:
+    """The first assignment word of length num_vars, in enumeration order,
+    that satisfies the clauses; None when there is none."""
+    for value in range(1 << num_vars, 2 << num_vars):
         assignment = bin(value)[3:]  # the num_vars bits below value's top bit
-        if _satisfies(f, assignment)[0]:
+        if _satisfies(clauses, assignment)[0]:
             return assignment
     return None
 
 
 def _formula_or_none(word: str) -> Optional[CnfFormula]:
-    try:
-        return decode_cnf(word)
-    except MalformedCnf:
-        return None
+    clauses = _clauses(word)
+    return None if clauses is None else CnfFormula(clauses, _num_vars(word))
 
 
 def verify(z: int) -> int:
@@ -213,14 +229,21 @@ def verify(z: int) -> int:
 
 def verify_cost(z: int) -> tuple:
     """(verify(z), elementary op count): ops cover the run scan, the length
-    check, and one op per literal looked at.  Used to pin the quadratic bound."""
+    check, and one op per literal looked at.  Used to pin the quadratic bound.
+
+    The formula word is read once.  An assignment whose length is not the
+    word's longest 1-run answers 0 before any parsing: a well-formed word's
+    variable count is that run, and a malformed word answers 0 anyway.  The
+    op count does not depend on which check answers."""
     x, y = unpair(z)
     wx, wy = index_word(x), index_word(y)
     ops = len(wx) + len(wy) + 1
-    f = _formula_or_none(wx)
-    if f is None or len(wy) != f.num_vars:
+    if len(wy) != _num_vars(wx):
         return 0, ops
-    bit, looked = _satisfies(f, wy)
+    clauses = _clauses(wx)
+    if clauses is None:
+        return 0, ops
+    bit, looked = _satisfies(clauses, wy)
     return bit, ops + looked
 
 
@@ -228,8 +251,9 @@ def solve_E(x: int) -> int:
     """Position of the first satisfying assignment word for formula word x,
     scanning assignments in enumeration order; 0 when unsatisfiable or
     malformed.  Exponential in the number of variables by design."""
-    f = _formula_or_none(index_word(x))
-    got = None if f is None else _solution(f)
+    word = index_word(x)
+    clauses = _clauses(word)
+    got = None if clauses is None else _solution(clauses, _num_vars(word))
     return 0 if got is None else word_index(got)
 
 
@@ -254,28 +278,28 @@ def scan(machine, budget: int, fuel: int) -> SearchOutcome:
     machine is consulted on it once no later x can verify before it; the z
     where the answer fails the formula is the least counterexample."""
     clocked = isinstance(machine, ClockedMachine)
-    queue = []  # (first verifying z, formula word, formula)
+    queue = []  # (first verifying z, formula word, clauses, variable count)
     for x in count():
         start = pair(x, 0)  # no z of x or of a later word is smaller
         while queue and queue[0][0] < start:
-            z, word, f = heappop(queue)
+            z, word, clauses, num_vars = heappop(queue)
             try:
                 got = clocked_run(machine, word) if clocked else run(machine, word, fuel)
             except BudgetExceeded:
                 got = None
             if got is None or isinstance(got, OutOfFuel):
                 raise IndeterminateSearch(z)
-            if len(got.output) != f.num_vars or not _satisfies(f, got.output)[0]:
+            if len(got.output) != num_vars or not _satisfies(clauses, got.output)[0]:
                 return Found(z, z)
         if start >= budget:
             return Exhausted(budget)
         word = index_word(x)
-        f = _formula_or_none(word)
-        solution = None if f is None else _solution(f)
+        clauses = _clauses(word)
+        solution = None if clauses is None else _solution(clauses, _num_vars(word))
         if solution is not None:
             z = pair(x, word_index(solution))
             if z < budget:
-                heappush(queue, (z, word, f))
+                heappush(queue, (z, word, clauses, len(solution)))
 
 
 def f_prime(m: int, budget: int, fuel: int = DEFAULT_FUEL,
