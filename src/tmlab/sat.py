@@ -170,6 +170,10 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(fields) != 4 or fields[1] != "cnf":
                 raise MalformedCnf("bad problem line: %r" % line)
             num_vars = decimal(fields[2])
+            try:
+                decimal(fields[3])  # the clause count, not checked against the clauses
+            except ValueError:
+                raise MalformedCnf("bad problem line: %r" % line) from None
             continue
         tokens.extend(decimal(tok, signed=True) for tok in line.split())
     if num_vars is None:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tmlab
-from tmlab import registry
+from tmlab import registry, sat
 from tmlab.clocks import ClockedMachine, Parametrized, PlainPoly, clocked_run
 from tmlab.codec import decode_index, encode_table, is_sigma_image, sigma_embed
 from tmlab.families import build_q_table
@@ -162,6 +162,7 @@ def test_decode_cnf_matches_groupby_oracle():
         w = index_word(x)
         got = _decoded_or_message(decode_cnf, w)
         assert got == _decoded_or_message(_groupby_decode_cnf, w), w
+        assert sat._formula_or_none(w) == (None if isinstance(got, str) else got), w
         if isinstance(got, str):
             messages.add(got.split(" of length")[0])
     assert messages == {"over-long empty coding", "missing polarity prefix",
@@ -228,6 +229,23 @@ def test_verify_cost_matches_literal_count():
         assert verify(z) == got[0], z
 
 
+def test_verify_cost_matches_literal_count_on_long_words():
+    # formula words of 14 to 29 bits: separators of 5 or more zeros, 1-runs
+    # longer than 4, and a longest 1-run that need not be the first; half the
+    # assignments are random, half are a well-formed word's least solution,
+    # so the length check passes and the clauses are read
+    rng = random.Random(47)
+    zs = [pair(rng.randrange(1 << 14, 1 << 30), rng.randrange(1 << 12))
+          for _ in range(10000)]
+    while len(zs) < 20000:
+        x = rng.randrange(1 << 14, 1 << 30)
+        y = solve_E(x)
+        if y:
+            zs.append(pair(x, y))
+    for z in zs:
+        assert verify_cost(z) == _verify_cost_oracle(z), z
+
+
 def test_dimacs_parsing():
     f = parse_dimacs("c header\np cnf 3 2\n1 -2 0\n2 3 0\n")
     assert f == CnfFormula((((1, True), (2, False)), ((2, True), (3, True))), 3)
@@ -236,7 +254,8 @@ def test_dimacs_parsing():
 
 
 def test_dimacs_rejects():
-    for bad in ["1 2 0\n", "p sat 2 1\n1 0\n", "p cnf 1 1\n2 0\n"]:
+    for bad in ["1 2 0\n", "p sat 2 1\n1 0\n", "p cnf 1 1\n2 0\n", "p cnf 3 x\n1 0\n",
+                "p cnf 3 -7\n1 0\n", "p cnf 3 \u0661\n1 0\n"]:
         with pytest.raises(MalformedCnf):
             parse_dimacs(bad)
     for bad in ["p cnf \u0663 1\n1 0\n", "p cnf 3 1\n\u0661 0\n", "p cnf 3 1\n1_0 0\n",
