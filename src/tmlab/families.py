@@ -77,24 +77,13 @@ def _dispatch_rules(outputs) -> tuple:
     multi-char outputs are shared per distinct output and sit above."""
     t = len(outputs) - 1
     out_state = t + 2
-    rules = []
-    chain_rules = []
-    chains = {}
-    next_free = t + 3
-
-    def chain_start(word: str) -> int:
-        nonlocal next_free
-        if word not in chains:
-            start = next_free
-            next_free += len(word) - 1
+    chains = {}  # multi-char output -> its chain's start state
+    start = t + 3
+    for word in outputs:
+        if len(word) > 1 and word not in chains:
             chains[word] = start
-            for j in range(1, len(word)):
-                last = j == len(word) - 1
-                chain_rules.append(Rule(start + j - 1, BLANK,
-                                        0 if last else start + j,
-                                        word[j], "N" if last else "R"))
-        return chains[word]
-
+            start += len(word) - 1
+    rules = []
     for x, answer in enumerate(outputs):
         node = 1 + x
         zero, one = 2 * x + 1, 2 * x + 2
@@ -105,11 +94,16 @@ def _dispatch_rules(outputs) -> tuple:
         elif len(answer) == 1:
             rules.append(Rule(node, BLANK, 0, answer, "N"))
         else:
-            rules.append(Rule(node, BLANK, chain_start(answer), answer[0], "R"))
+            rules.append(Rule(node, BLANK, chains[answer], answer[0], "R"))
     rules.append(Rule(out_state, "0", out_state, BLANK, "R"))
     rules.append(Rule(out_state, "1", out_state, BLANK, "R"))
     rules.append(Rule(out_state, BLANK, 0, "0", "N"))
-    return tuple(rules + chain_rules)
+    for word, start in chains.items():
+        for j in range(1, len(word)):
+            last = j == len(word) - 1
+            rules.append(Rule(start + j - 1, BLANK, 0 if last else start + j,
+                              word[j], "N" if last else "R"))
+    return tuple(rules)
 
 
 @cache

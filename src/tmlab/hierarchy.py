@@ -4,10 +4,12 @@ Base clauses: F_0(x) = 0 and F_1(x) = 2x (both taken as given).  Successors
 iterate, F_{b+1}(x) = x-fold F_b starting at 1; limits diagonalize along the
 fundamental sequence, F_l(x) = F_{l[x]}(x).  The level may also be EPS0, the
 epsilon_0 diagonal F_{tau(x)}(x) over the omega towers tau(x) = w, w^w, ...
-Every evaluator call counts against an explicit budget and exhaustion is
-reported as a value (Overflow), never an exception.  Values explode fast, so
-comparisons use fgh_at_least, the same evaluator run with intermediate values
-capped at the threshold, which certifies lower bounds.
+Every evaluator call counts against an explicit budget, passed down as the
+calls left and handed back with each value, and exhaustion is reported as a
+value (Overflow), never an exception.  Values explode fast, so comparisons
+use fgh_at_least, the same evaluator run with a cap at the threshold: an
+iteration stops at its first value >= cap, so a capped value is exact below
+the cap and a certified lower bound at or above it.
 """
 
 from dataclasses import dataclass
@@ -73,48 +75,36 @@ class _Unknown:
 
 UNKNOWN = _Unknown()
 
-_INF = object()  # stands for "already >= cap" inside a capped evaluation
 
-
-class _Counter:
-    __slots__ = ("used", "budget")
-
-    def __init__(self, budget: int):
-        self.used = 0
-        self.budget = budget
-
-    def tick(self):
-        self.used += 1
-        if self.used > self.budget:
-            raise _BudgetOut()
-
-
-def _eval(a: OrdinalCNF, x: int, counter: _Counter, cap: Optional[int] = None):
+def _eval(a: OrdinalCNF, x: int, left: int, cap: Optional[int]):
+    """(F_a(x), calls left after it) given left calls, or _BudgetOut."""
     # Size bound: only F_1 grows a value, by one doubling per call, and every
     # value starts as 0, x or 1, so a Value(v, cost) at argument x has
     # v.bit_length() <= max(x, 1).bit_length() + cost.  The budget thus bounds
     # memory already; only time is quadratic in it, as each doubling takes
     # time linear in the bits of its value.
     #
-    # With a cap, a result may be _INF ("known >= cap"), and the successor
-    # clause stops at once on it, so x is always exact.  Sound because every
-    # F_g with g >= 1 satisfies F_g(v) >= v, and F_0 is never iterated here:
-    # the successor clause only unfolds for a >= 2, whose predecessor is >= 1.
-    counter.tick()
+    # With a cap, the successor clause stops right after the first value
+    # >= cap and returns it, so a value >= cap is a lower bound and never
+    # becomes an argument.  Sound because every F_g with g >= 1 satisfies
+    # F_g(v) >= v, and F_0 is never iterated here: the successor clause only
+    # unfolds for a >= 2, whose predecessor is >= 1.
+    if left <= 0:
+        raise _BudgetOut()
+    left -= 1
     if a == ZERO:
-        return 0
+        return 0, left
     if a == ONE:
-        v = 2 * x
-        return _INF if cap is not None and v >= cap else v
+        return 2 * x, left
     if is_successor(a):
         b = predecessor(a)
         v = 1
         for _ in range(x):
-            v = _eval(b, v, counter, cap)
-            if v is _INF:
-                return _INF
-        return v
-    return _eval(fundamental_sequence(a, x), x, counter, cap)
+            v, left = _eval(b, v, left, cap)
+            if cap is not None and v >= cap:
+                break
+        return v, left
+    return _eval(fundamental_sequence(a, x), x, left, cap)
 
 
 def _level(alpha, x: int, budget: int) -> Optional[OrdinalCNF]:
@@ -134,8 +124,9 @@ def _level(alpha, x: int, budget: int) -> Optional[OrdinalCNF]:
 
 
 def _run(alpha, x: int, budget: int, cap: Optional[int] = None):
-    """(F_alpha(x), calls used), the value capped to _INF at cap when a cap
-    is given, or None when more than budget evaluator calls are needed.
+    """(F_alpha(x), calls used), or None when more than budget evaluator
+    calls are needed; the calls used are budget minus the calls _eval leaves.
+    With a cap, a value at or above it is a lower bound of F_alpha(x).
     Interpreter stack exhaustion on deep descents counts as running out too:
     evaluation must stay total for arbitrary (crafted) levels.  A negative x
     is a ValueError."""
@@ -144,11 +135,11 @@ def _run(alpha, x: int, budget: int, cap: Optional[int] = None):
     level = _level(alpha, x, budget)
     if level is None:
         return None
-    counter = _Counter(budget)
     try:
-        return _eval(level, x, counter, cap), counter.used
+        value, left = _eval(level, x, budget, cap)
     except (_BudgetOut, RecursionError):
         return None
+    return value, budget - left
 
 
 def fgh_eval(alpha, x: int, budget: int) -> EvalOutcome:
@@ -168,7 +159,7 @@ def fgh_at_least(alpha, x: int, threshold: int, budget: int):
     got = _run(alpha, x, budget, threshold)
     if got is None:
         return UNKNOWN
-    return got[0] is _INF or got[0] >= threshold
+    return got[0] >= threshold
 
 
 # --- function descriptors -------------------------------------------------

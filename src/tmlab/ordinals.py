@@ -171,13 +171,13 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text.replace(" ", "")
         self.pos = 0
-        self.depth = 0  # open w^ towers and parentheses
 
-    def nest(self):
-        self.depth += 1
-        if self.depth > MAX_NESTING:
+    def nest(self, depth: int) -> int:
+        """The depth of open w^ towers and parentheses, one more opened."""
+        if depth >= MAX_NESTING:
             raise ParseError("ordinal text nests deeper than %d at %d"
                              % (MAX_NESTING, self.pos))
+        return depth + 1
 
     def peek(self):
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -195,37 +195,32 @@ class _Parser:
             raise ParseError("expected number at %d in %r" % (self.pos, self.text))
         return int(self.text[start:self.pos])
 
-    def sum(self) -> OrdinalCNF:
-        v = self.prod()
+    def sum(self, depth: int) -> OrdinalCNF:
+        v = self.prod(depth)
         while self.peek() == "+":
             self.take("+")
-            v = ord_add(v, self.prod())
+            v = ord_add(v, self.prod(depth))
         return v
 
-    def prod(self) -> OrdinalCNF:
-        v = self.pow()
+    def prod(self, depth: int) -> OrdinalCNF:
+        v = self.pow(depth)
         if self.peek() == "*":
             self.take("*")
             v = ord_mult_nat(v, self.nat())
         return v
 
-    def pow(self) -> OrdinalCNF:
+    def pow(self, depth: int) -> OrdinalCNF:
         c = self.peek()
         if c == "w":
             self.take("w")
             if self.peek() == "^":
                 self.take("^")
-                self.nest()
-                v = omega_power(self.pow())  # right-associative towers
-                self.depth -= 1
-                return v
+                return omega_power(self.pow(self.nest(depth)))  # right-associative towers
             return OMEGA
         if c == "(":
             self.take("(")
-            self.nest()
-            v = self.sum()
+            v = self.sum(self.nest(depth))
             self.take(")")
-            self.depth -= 1
             return v
         if "0" <= c <= "9":
             return from_nat(self.nat())
@@ -234,7 +229,7 @@ class _Parser:
 
 def ord_parse(s: str) -> OrdinalCNF:
     p = _Parser(s)
-    v = p.sum()
+    v = p.sum(0)
     if p.pos != len(p.text):
         raise ParseError("trailing input %r" % p.text[p.pos:])
     return v
