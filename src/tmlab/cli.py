@@ -25,8 +25,9 @@ from .machines import Halted, format_tm_text, parse_tm_text, run
 from .ordinals import fundamental_sequence, ord_format, ord_parse
 from .registry import FRegistry
 from .sat import (DEFAULT_FUEL, Found, IndeterminateSearch, MalformedCnf, decode_cnf,
-                  encode_cnf, f_neg_A, f_prime, parse_dimacs, solve_E, verify, verify_cost)
-from .words import decimal, index_word, pair, word_index
+                  encode_cnf, encoded_length, f_neg_A, f_prime, parse_dimacs, solve_E, verify,
+                  verify_cost)
+from .words import binary_word, decimal, index_word, pair, word_index
 
 DEFAULT_BUDGET = 10 ** 4
 # Most assignments times literals a sat-solve scans: the worst case inside,
@@ -58,12 +59,6 @@ def _budget(args) -> int:
         return _natural(text)
     except argparse.ArgumentTypeError as err:
         raise ValueError("CLOCKWORK_BUDGET %s" % err)
-
-
-def _check_word(s: str) -> str:
-    if s.strip("01"):
-        raise ValueError("input word must be over {0,1}: %r" % s)
-    return s
 
 
 def _load_table(path: str):
@@ -107,7 +102,7 @@ def _cmd_tm_decode(args):
 
 def _cmd_clock_run(args):
     table = _load_table(args.file)
-    word = _check_word(args.word)
+    word = binary_word(args.word)
     inputs = {"file": args.file, "word": word, "clock": args.clock}
     try:
         clock = parse_clock(args.clock)
@@ -126,10 +121,11 @@ def _dimacs_x(path: str) -> int:
     BOUND_BITS bits is a ValueError: its position would not print as a
     decimal record at desk speed."""
     with open(path) as f:
-        word = encode_cnf(parse_dimacs(f.read()))
-    if len(word) > BOUND_BITS:
-        raise ValueError("formula word has %d bits, past %d" % (len(word), BOUND_BITS))
-    return word_index(word)
+        formula = parse_dimacs(f.read())
+    bits = encoded_length(formula)
+    if bits > BOUND_BITS:
+        raise ValueError("formula word has %d bits, past %d" % (bits, BOUND_BITS))
+    return word_index(encode_cnf(formula))
 
 
 def _sat_verify_z(args) -> int:
@@ -141,7 +137,7 @@ def _sat_verify_z(args) -> int:
     if args.z is not None:
         return args.z
     if args.dimacs:
-        return pair(_dimacs_x(args.dimacs), word_index(_check_word(args.assign or "")))
+        return pair(_dimacs_x(args.dimacs), word_index(args.assign or ""))
     if args.x is None or args.y is None:
         raise ValueError("need Z, or both --x and --y, or --dimacs")
     return pair(args.x, args.y)

@@ -14,7 +14,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Union
 
-from .words import decimal
+from .words import binary_word, decimal
 
 BLANK = "_"
 SYMBOLS = ("0", "1", BLANK)
@@ -152,8 +152,7 @@ def run(table: MachineTable, word: str, fuel: int) -> RunResult:
     other than 0 and 1, is a ValueError."""
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
-    if word.strip("01"):
-        raise ValueError("input word must be over {0,1}: %r" % word)
+    binary_word(word)
     prog = table.program
     tape = bytearray(_PAD)
     tape += word.encode().translate(_TO_CODES)

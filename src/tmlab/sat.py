@@ -63,8 +63,6 @@ class Exhausted:
 
 SearchOutcome = Union[Found, Exhausted]
 
-Literal = tuple  # (variable index >= 1, positive: bool)
-
 
 @dataclass(frozen=True)
 class CnfFormula:
@@ -86,9 +84,6 @@ class CnfFormula:
             raise MalformedCnf("num_vars below a mentioned variable")
 
 
-EMPTY_FORMULA = CnfFormula()
-
-
 def encode_cnf(f: CnfFormula) -> str:
     """Emits one-zero separators for positive literals, two-zero for negative,
     the 3/4-zero clause-break forms between clauses, and one trailing zero."""
@@ -107,6 +102,16 @@ def encode_cnf(f: CnfFormula) -> str:
             bits.append("1" * var)
     bits.append("0")
     return "".join(bits)
+
+
+def encoded_length(f: CnfFormula) -> int:
+    """len(encode_cnf(f)), without building the word: each literal is its
+    variable plus a separator of 1 zero (positive) or 2 (negative), each
+    clause break adds 2 zeros, and one zero trails."""
+    if not f.clauses:
+        return 0
+    return (1 + 2 * (len(f.clauses) - 1)
+            + sum(var + (1 if positive else 2) for clause in f.clauses for var, positive in clause))
 
 
 def _clauses(word: str) -> Optional[tuple]:

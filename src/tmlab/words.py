@@ -19,10 +19,16 @@ def index_word(i: int) -> str:
     return bin(i + 1)[3:]  # i + 1 = 2^L + v: drop the "0b1" in front of v's L bits
 
 
+def binary_word(w: str) -> str:
+    """w itself when it is over {0,1}, else a ValueError."""
+    if w.strip("01"):
+        raise ValueError("input word must be over {0,1}: %r" % w)
+    return w
+
+
 def word_index(w: str) -> int:
     """Position of word w; inverse of index_word."""
-    if any(c not in "01" for c in w):
-        raise ValueError("not a binary word: %r" % (w,))
+    binary_word(w)
     if not w:
         return 0
     return (1 << len(w)) - 1 + int(w, 2)

@@ -149,6 +149,7 @@ CASES = [
     case("sat-solve", "--dimacs", "unsat40.cnf"),  # 2^40 x 2 literals: past it
     case("sat-solve", "\u0664"),  # Arabic-Indic four
     case("sat-solve", "--dimacs", "unit10m.cnf"),  # a 10^7 + 2-bit word: past BOUND_BITS
+    case("sat-solve", "--dimacs", "unit1t.cnf"),  # a 10^12 + 2-bit word: refused unbuilt
     # fna-search
     case("fna-search", "0", "--budget", "100"),
     case("fna-search", "0", "--budget", "1"),

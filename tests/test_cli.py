@@ -190,6 +190,21 @@ def test_dimacs_word_bound(tm, capsys):
             in got.err
 
 
+def test_dimacs_word_measured_before_it_is_built(tm, capsys):
+    # variable 10^12 spells a word of 10^12 + 2 bits: refused from its
+    # length alone, never built
+    far = tm("p cnf %d 1\n%d 0\n" % ((10 ** 12,) * 2), "far.cnf")
+    for argv in (["sat-solve", "--dimacs", far],
+                 ["sat-verify", "--dimacs", far, "--assign", "1"]):
+        start = time.perf_counter()
+        assert cli.main(argv) == 1
+        assert time.perf_counter() - start < 0.3
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert "error: formula word has %d bits, past %d" % (10 ** 12 + 2, BOUND_BITS) \
+            in got.err
+
+
 def test_fna_search_found(capsys):
     assert cli.main(["fna-search", "0", "--budget", "100"]) == 0
     (rec,) = records(capsys)

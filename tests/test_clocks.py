@@ -84,6 +84,12 @@ def test_parametrized_field_validation():
         Parametrized(ord_parse("1"), 300, width=8)
 
 
+def test_parametrized_k_fills_its_field():
+    assert Parametrized(ord_parse("1"), 255, width=8).exponent == 510
+    with pytest.raises(ValueError, match="k must fit the 8-bit field"):
+        Parametrized(ord_parse("1"), 256, width=8)
+
+
 def test_clocked_identity_halts_before_bound():
     got = clocked_run(ClockedMachine(trivial_machine(), PlainPoly(1)), "11")
     assert got.output == "11" and got.steps <= 1 and not got.cut

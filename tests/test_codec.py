@@ -21,7 +21,7 @@ from tmlab.codec import (
 )
 from tmlab.families import build_q_table
 from tmlab.machines import BLANK, MOVES, MachineTable, Rule, trivial_machine
-from tmlab.ordinals import ord_parse
+from tmlab.ordinals import omega_power, ord_parse
 from tmlab.words import index_word, word_index
 
 ORD1 = ord_parse("1")
@@ -230,6 +230,34 @@ def test_family_word_field_validation():
         family_word_bits(ORD1, 0, 0)
     with pytest.raises(ValueError):
         family_word_bits(ORD1, 256, 8)
+
+
+def test_family_words_at_the_width_bounds():
+    # widths 1 and 255 are the ends of the 8-bit width field; each reads back
+    for width in (1, 255):
+        n = (1 << width) - 1
+        bits = family_word_bits(ORD1, n, width)
+        assert codec._read_family(bits) == (ORD1, n, width)
+    with pytest.raises(ValueError):
+        family_word_bits(ORD1, 0, 256)
+
+
+def _tower(height):
+    """w^w^...^0 with height w's: its ordinal block nests height levels deep."""
+    a = ord_parse("0")
+    for _ in range(height):
+        a = omega_power(a)
+    return a
+
+
+def test_ordinal_block_depth_bound():
+    # is_sigma_image parses the level block and evaluates nothing
+    def sigma_word(alpha):
+        block = family_word_bits(alpha, 0, 1)
+        return word_index(codec.TAG_SIGMA + codec._clockspec_bits(PlainPoly(1)) + block)
+
+    assert is_sigma_image(sigma_word(_tower(codec._MAX_ORD_DEPTH)))
+    assert not is_sigma_image(sigma_word(_tower(codec._MAX_ORD_DEPTH + 1)))
 
 
 _SYMBOL = st.sampled_from(("0", "1", BLANK))

@@ -353,3 +353,10 @@ def test_dominates_table_window():
     f = parse_fn_descriptor("table:0,2,4,6,8")
     g = parse_fn_descriptor("table:0,1,2,3,4")
     assert dominates_on_window(f, g, (0, 4), BIG) == Holds()
+
+
+def test_dominates_one_point_window():
+    # lo == hi is a window of one point, judged like any other
+    f1, f2 = parse_fn_descriptor("fgh:1"), parse_fn_descriptor("fgh:2")
+    assert dominates_on_window(f2, f1, (3, 3), BIG) == Holds()
+    assert dominates_on_window(f1, f2, (3, 3), BIG) == FailsAt(3)

@@ -3,11 +3,13 @@
 An import inside a function body usually hides an import cycle, so the
 package has none.  Where a module needs a later one's code, the later module
 installs it at import, as `families` installs the decoder's member builder
-on `codec`.  No function rebinds a module global either: state that lives
-across calls is an object or a cache.  And no module but `machines` builds a
+on `codec`.  No function rebinds a module global or an enclosing function's
+variable either: state that lives across calls is an object or a cache, and
+state within one call is passed as arguments and return values.  And no module but `machines` builds a
 zero-rule table: a fallback answers the one shared `trivial_machine()`.
-Every top-level function and class is used by the package itself or by the
-benchmark in bench/: code that only tests exercise belongs in tests/.
+Every top-level function, class and assigned name is used by the package
+itself or by the benchmark in bench/: code that only tests exercise belongs
+in tests/.
 """
 
 import ast
@@ -36,13 +38,21 @@ def test_no_deferred_import():
     assert _deferred_imports() == set()
 
 
-def test_no_global_statement():
+def _statements(kind):
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         found += ["%s:%d" % (path.name, node.lineno)
-                  for node in ast.walk(tree) if isinstance(node, ast.Global)]
-    assert found == []
+                  for node in ast.walk(tree) if isinstance(node, kind)]
+    return found
+
+
+def test_no_global_statement():
+    assert _statements(ast.Global) == []
+
+
+def test_no_nonlocal_statement():
+    assert _statements(ast.Nonlocal) == []
 
 
 def _zero_rule_tables():
@@ -81,6 +91,20 @@ def _names(node, strings=False) -> set:
     return found
 
 
+def _defined(stmt) -> list:
+    """The names a top-level statement defines: a function, a class, or the
+    plain names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+
+
 def _unused_definitions():
     bench = set()
     for path in sorted(BENCH.glob("*.py")):
@@ -88,10 +112,10 @@ def _unused_definitions():
     statements = [(path.name, stmt, _names(stmt))  # __init__ only re-exports
                   for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
                   for stmt in ast.parse(path.read_text(), str(path)).body]
-    return ["%s:%s" % (name, stmt.name) for name, stmt, _ in statements
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and stmt.name not in bench
-            and not any(stmt.name in used for _, other, used in statements if other is not stmt)]
+    return ["%s:%s" % (module, name) for module, stmt, _ in statements
+            for name in _defined(stmt)
+            if name not in bench
+            and not any(name in used for _, other, used in statements if other is not stmt)]
 
 
 def test_every_definition_is_used_outside_tests():

@@ -19,7 +19,6 @@ from tmlab.machines import Halted, MachineTable, Rule, run
 from tmlab.ordinals import ord_parse
 from tmlab.sat import (
     DEFAULT_FUEL,
-    EMPTY_FORMULA,
     CnfFormula,
     Exhausted,
     Found,
@@ -27,6 +26,7 @@ from tmlab.sat import (
     MalformedCnf,
     decode_cnf,
     encode_cnf,
+    encoded_length,
     f_neg_A,
     f_prime,
     parse_dimacs,
@@ -37,6 +37,7 @@ from tmlab.sat import (
 )
 from tmlab.words import index_word, pair, proj1, unpair, word_index
 
+EMPTY_FORMULA = CnfFormula()
 V1 = CnfFormula((((1, True),),), 1)
 
 MALFORMED_X = [2, 5, 6, 7, 11, 12, 13, 14, 15, 16, 19]
@@ -65,6 +66,7 @@ def test_all_ones_word_is_malformed():
 
 def test_empty_formula_codings():
     assert encode_cnf(EMPTY_FORMULA) == ""
+    assert encoded_length(EMPTY_FORMULA) == 0
     for w in ["", "0", "00"]:
         assert decode_cnf(w) == EMPTY_FORMULA
     with pytest.raises(MalformedCnf):
@@ -101,6 +103,7 @@ def test_roundtrip_generated_formulas():
     for _ in range(200):
         f = _random_formula(rng)
         assert decode_cnf(encode_cnf(f)) == f
+        assert encoded_length(f) == len(encode_cnf(f))
 
 
 def test_decode_then_encode_normalizes():

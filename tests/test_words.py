@@ -30,7 +30,7 @@ def test_roundtrip_words_up_to_len_10():
 
 
 def test_word_index_rejects_nonbinary():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"input word must be over \{0,1\}: '01a'"):
         word_index("01a")
 
 
