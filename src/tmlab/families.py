@@ -78,11 +78,11 @@ def _dispatch_rules(outputs) -> tuple:
     t = len(outputs) - 1
     out_state = t + 2
     chains = {}  # multi-char output -> its chain's start state
-    start = t + 3
+    next_free = t + 3
     for word in outputs:
         if len(word) > 1 and word not in chains:
-            chains[word] = start
-            start += len(word) - 1
+            chains[word] = next_free
+            next_free += len(word) - 1
     rules = []
     for x, answer in enumerate(outputs):
         node = 1 + x
