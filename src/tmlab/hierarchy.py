@@ -2,26 +2,26 @@
 
 Base clauses: F_0(x) = 0 and F_1(x) = 2x (both taken as given).  Successors
 iterate, F_{b+1}(x) = x-fold F_b starting at 1; limits diagonalize along the
-fundamental sequence, F_l(x) = F_{l[x]}(x).  The level may also be EPS0, the
-epsilon_0 diagonal F_{tau(x)}(x) over the omega towers tau(x) = w, w^w, ...
-Every evaluator call counts against an explicit budget, passed down as the
-calls left and handed back with each value, and exhaustion is reported as a
-value (Overflow), never an exception.  Values explode fast, so comparisons
-use fgh_at_least, the same evaluator run with a cap at the threshold: an
-iteration stops at its first value >= cap, so a capped value is exact below
-the cap and a certified lower bound at or above it.
+fundamental sequence, F_l(x) = F_{l[x]}(x).  F_2 runs its x doublings in the
+successor loop itself, at one call each, as its F_1 calls would cost.  The
+level may also be EPS0, the epsilon_0 diagonal F_{tau(x)}(x) over the omega
+towers tau(x) = w, w^w, ...  Every evaluator call counts against an explicit
+budget, passed down as the calls left and handed back with each value, and
+exhaustion is reported as a value (Overflow), never an exception.  Values
+explode fast, so comparisons use fgh_at_least, the same evaluator run with a
+cap at the threshold: an iteration stops at its first value >= cap, so a
+capped value is exact below the cap and a certified lower bound at or above
+it.  Levels are told apart by the shape of their terms, never by comparing
+with the module constants of ordinals.
 """
 
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .ordinals import (
-    ONE,
-    ZERO,
     OrdinalCNF,
     clock_index_ordinal,
     fundamental_sequence,
-    is_successor,
     ord_format,
     ord_parse,
     predecessor,
@@ -29,13 +29,13 @@ from .ordinals import (
 from .words import decimal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
     value: int
     cost: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Overflow:
     budget: int
 
@@ -80,9 +80,10 @@ def _eval(a: OrdinalCNF, x: int, left: int, cap: Optional[int]):
     """(F_a(x), calls left after it) given left calls, or _BudgetOut."""
     # Size bound: only F_1 grows a value, by one doubling per call, and every
     # value starts as 0, x or 1, so a Value(v, cost) at argument x has
-    # v.bit_length() <= max(x, 1).bit_length() + cost.  The budget thus bounds
-    # memory already; only time is quadratic in it, as each doubling takes
-    # time linear in the bits of its value.
+    # v.bit_length() <= max(x, 1).bit_length() + cost.  F_2's x doublings run
+    # in the successor loop below, one call each, as its F_1 calls would.
+    # The budget thus bounds memory already; only time is quadratic in it, as
+    # each doubling takes time linear in the bits of its value.
     #
     # With a cap, the successor clause stops right after the first value
     # >= cap and returns it, so a value >= cap is a lower bound and never
@@ -92,19 +93,29 @@ def _eval(a: OrdinalCNF, x: int, left: int, cap: Optional[int]):
     if left <= 0:
         raise _BudgetOut()
     left -= 1
-    if a == ZERO:
+    terms = a.terms
+    if not terms:  # 0
         return 0, left
-    if a == ONE:
+    e, c = terms[-1]
+    if e.terms:  # a limit: its last exponent is not 0
+        return _eval(fundamental_sequence(a, x), x, left, cap)
+    finite = len(terms) == 1  # the single term w^0 * c is the natural c
+    if finite and c == 1:
         return 2 * x, left
-    if is_successor(a):
-        b = predecessor(a)
-        v = 1
-        for _ in range(x):
+    # F_2 doubles x times from 1, each doubling the F_1 call it stands for
+    b = None if finite and c == 2 else predecessor(a)
+    v = 1
+    for _ in range(x):
+        if b is not None:
             v, left = _eval(b, v, left, cap)
-            if cap is not None and v >= cap:
-                break
-        return v, left
-    return _eval(fundamental_sequence(a, x), x, left, cap)
+        elif left <= 0:
+            raise _BudgetOut()
+        else:
+            left -= 1
+            v += v
+        if cap is not None and v >= cap:
+            break
+    return v, left
 
 
 def _level(alpha, x: int, budget: int) -> Optional[OrdinalCNF]:

@@ -3,6 +3,7 @@
 An ordinal is a descending sum of terms w^exponent * coefficient with
 exponents again in normal form and coefficients >= 1; the empty sum is 0.
 Text syntax: `0`, `3`, `w`, `w*5`, `w^w`, `w^(w+1)*2`, `w^w+w*3+2`.
+Shapes are read from `terms`: 0 has none, and a successor's last exponent is 0.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ class NotLimit(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrdinalCNF:
     terms: tuple = ()  # tuple of (OrdinalCNF exponent, int coefficient), descending
 
@@ -103,11 +104,11 @@ def ord_mult_nat(a: OrdinalCNF, k: int) -> OrdinalCNF:
 
 
 def is_successor(a: OrdinalCNF) -> bool:
-    return bool(a.terms) and a.terms[-1][0] == ZERO
+    return bool(a.terms) and not a.terms[-1][0].terms
 
 
 def is_limit(a: OrdinalCNF) -> bool:
-    return bool(a.terms) and a.terms[-1][0] != ZERO
+    return bool(a.terms) and bool(a.terms[-1][0].terms)
 
 
 def predecessor(a: OrdinalCNF) -> OrdinalCNF:
@@ -154,14 +155,15 @@ def ord_format(a: OrdinalCNF) -> str:
         return "0"
     parts = []
     for e, c in a.terms:
-        if e == ZERO:
+        if not e.terms:
             parts.append(str(c))
             continue
-        if e == ONE:
+        head, k = e.terms[0]
+        if len(e.terms) == 1 and k == 1 and not head.terms:
             base = "w"
         else:
             inner = ord_format(e)
-            simple = len(e.terms) == 1 and (e.terms[0][1] == 1 or e.terms[0][0] == ZERO)
+            simple = len(e.terms) == 1 and (k == 1 or not head.terms)
             base = "w^%s" % (inner if simple else "(%s)" % inner)
         parts.append(base if c == 1 else "%s*%d" % (base, c))
     return "+".join(parts)

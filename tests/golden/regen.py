@@ -181,6 +181,10 @@ CASES = [
     case("ord-eval", "eps0", "3000000"),
     case("ord-eval", "eps0", "30000000"),
     case("ord-eval", "eps0", "1", "--budget", "3"),
+    case("ord-eval", "2", "20", "--budget", "20"),  # F_2: one call per doubling
+    case("ord-eval", "2", "20", "--budget", "21"),
+    case("ord-eval", "3", "4", "--budget", "27"),  # F_3 iterates F_2
+    case("ord-eval", "3", "4", "--budget", "28"),
     case("ord-eval", "w", "3", "--human"),
     case("ord-eval", "w^" * 1200 + "1", "2"),
     case("ord-eval", "2", "-3"),

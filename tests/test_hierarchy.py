@@ -25,8 +25,9 @@ from tmlab.hierarchy import (
     parse_fn_descriptor,
     poly_eval,
 )
-from tmlab.ordinals import (OrdinalCNF, ParseError, clock_index_ordinal, from_nat, ord_compare,
-                            ord_format, ord_parse)
+from tmlab.ordinals import (ONE, ZERO, OrdinalCNF, ParseError, clock_index_ordinal, from_nat,
+                            fundamental_sequence, is_limit, ord_compare, ord_format, ord_parse,
+                            predecessor)
 
 BIG = 10 ** 6
 
@@ -35,23 +36,44 @@ def _nat(k):
     return ord_parse(str(k))
 
 
+class _OutOfCalls(Exception):
+    pass
+
+
+def _counted_fgh(a, x, left, cap):
+    """(F_a(x), calls left) by the plain recursion, in which every level, F_1
+    included, takes a call of its own; _OutOfCalls when no call is left.
+    With a cap an iteration stops at its first value >= cap."""
+    if left <= 0:
+        raise _OutOfCalls()
+    left -= 1
+    if a == from_nat(0):
+        return 0, left
+    if a == from_nat(1):
+        return 2 * x, left
+    if is_limit(a):
+        return _counted_fgh(fundamental_sequence(a, x), x, left, cap)
+    b, v = predecessor(a), 1
+    for _ in range(x):
+        v, left = _counted_fgh(b, v, left, cap)
+        if cap is not None and v >= cap:
+            break
+    return v, left
+
+
+def _counted_run(a, x: int, budget: int, cap=None):
+    """(F_a(x), calls used) by the counted recursion, or None past budget.
+    Like the evaluator, it counts stack exhaustion as running out."""
+    try:
+        v, left = _counted_fgh(a, x, budget, cap)
+    except (_OutOfCalls, RecursionError):
+        return None
+    return v, budget - left
+
+
 def _reference_fgh(alpha_text: str, x: int) -> int:
     """Independent recurrence iterator used as the value oracle."""
-    from tmlab.ordinals import fundamental_sequence, is_limit, predecessor, ONE
-
-    def go(a, v):
-        if not a.terms:
-            return 0
-        if a == ONE:
-            return 2 * v
-        if is_limit(a):
-            return go(fundamental_sequence(a, v), v)
-        out = 1
-        for _ in range(v):
-            out = go(predecessor(a), out)
-        return out
-
-    return go(ord_parse(alpha_text), x)
+    return _counted_run(ord_parse(alpha_text), x, BIG)[0]
 
 
 def test_base_clauses_match_reference():
@@ -164,7 +186,8 @@ def test_depth_lemma_and_value_size(alpha, x, budget):
 def test_at_least_agrees_with_eval(alpha, x, budget, threshold):
     """At the exact value's own cost the certificate decides every threshold,
     and a False is only ever an exact value below the threshold.  Levels nest
-    3 deep, not 4: fgh_eval(w^w^(w^(w*2)+1), 3, 2207) alone takes 42 s, as
+    3 deep, not 4: fgh_eval(w^w^(w^(w*2)+1), 3, 2207) alone takes 0.8 s on a
+    2-core Xeon and answers Overflow at the interpreter's recursion limit, as
     every evaluator call re-validates the deep ordinals it builds."""
     got = fgh_eval(alpha, x, budget)
     if isinstance(got, Value):
@@ -174,6 +197,44 @@ def test_at_least_agrees_with_eval(alpha, x, budget, threshold):
     for t in (threshold,) + ((1, got.value + 1) if isinstance(got, Value) else ()):
         if fgh_at_least(alpha, x, t, budget) is False:
             assert isinstance(got, Value) and got.value < t
+
+
+def _fresh(a):
+    """A copy of a that shares no object with it, so that no subterm is the
+    module's ZERO or ONE."""
+    return OrdinalCNF(tuple((_fresh(e), c) for e, c in a.terms))
+
+
+def _subterms(a):
+    yield a
+    for e, _ in a.terms:
+        yield from _subterms(e)
+
+
+@settings(deadline=None, max_examples=100)
+@given(ordinals(3), st.integers(0, 4), st.integers(0, 3000),
+       st.one_of(st.none(), st.integers(1, 40), st.integers(1, 1 << 40)))
+def test_shape_tests_match_counted_recursion(alpha, x, budget, cap):
+    """The evaluator reads levels by the shape of their terms and runs F_2's
+    doublings in its own loop; values, costs and capped answers stay those of
+    the plain recursion, on levels that share no object with the constants."""
+    level = _fresh(alpha)
+    assert not any(t is ZERO or t is ONE for t in _subterms(level))
+    want = _counted_run(level, x, budget)
+    assert fgh_eval(level, x, budget) == (Overflow(budget) if want is None else Value(*want))
+    if cap is not None:
+        capped = _counted_run(level, x, budget, cap)
+        assert fgh_at_least(level, x, cap, budget) is (UNKNOWN if capped is None
+                                                       else capped[0] >= cap)
+
+
+def test_level_two_charges_one_call_per_doubling():
+    # F_2(x) = 2^x costs its own call plus one per doubling: x + 1 in all
+    for x in range(21):
+        assert fgh_eval(_nat(2), x, x) == Overflow(x)
+        assert fgh_eval(_nat(2), x, x + 1) == Value(2 ** x, x + 1)
+        assert fgh_at_least(_nat(2), x, 2 ** x, x) is UNKNOWN
+        assert fgh_at_least(_nat(2), x, 2 ** x, x + 1) is True
 
 
 def test_depth_of_known_levels():

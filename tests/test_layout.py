@@ -7,6 +7,9 @@ on `codec`.  No function rebinds a module global or an enclosing function's
 variable either: state that lives across calls is an object or a cache, and
 state within one call is passed as arguments and return values.  And no module but `machines` builds a
 zero-rule table: a fallback answers the one shared `trivial_machine()`.
+No `==` or `!=` compares with the ordinal constants `ZERO`, `ONE` or `OMEGA`:
+dataclass equality walks the terms on every hot-path test, so an ordinal's
+shape is read from its `terms` tuple instead.
 Every top-level function, class and assigned name is used by the package
 itself or by the benchmark in bench/: code that only tests exercise belongs
 in tests/.
@@ -38,21 +41,34 @@ def test_no_deferred_import():
     assert _deferred_imports() == set()
 
 
-def _statements(kind):
+def _nodes(kind, where=lambda node: True):
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         found += ["%s:%d" % (path.name, node.lineno)
-                  for node in ast.walk(tree) if isinstance(node, kind)]
+                  for node in ast.walk(tree) if isinstance(node, kind) and where(node)]
     return found
 
 
 def test_no_global_statement():
-    assert _statements(ast.Global) == []
+    assert _nodes(ast.Global) == []
 
 
 def test_no_nonlocal_statement():
-    assert _statements(ast.Nonlocal) == []
+    assert _nodes(ast.Nonlocal) == []
+
+
+ORDINAL_CONSTANTS = {"ZERO", "ONE", "OMEGA"}
+
+
+def _equality_with_ordinal_constant(node: ast.Compare) -> bool:
+    sides = [ast.unparse(side).split(".")[-1] for side in [node.left, *node.comparators]]
+    return any(isinstance(op, (ast.Eq, ast.NotEq)) and {left, right} & ORDINAL_CONSTANTS
+               for op, left, right in zip(node.ops, sides, sides[1:]))
+
+
+def test_no_equality_with_ordinal_constants():
+    assert _nodes(ast.Compare, _equality_with_ordinal_constant) == []
 
 
 def _zero_rule_tables():
