@@ -30,7 +30,7 @@ class BudgetExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlainPoly:
     p: int
 
@@ -43,7 +43,7 @@ class PlainPoly:
         return self.p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Parametrized:
     alpha: Union[OrdinalCNF, str]  # an ordinal, or EPS0 for the diagonal
     k: int
@@ -95,7 +95,7 @@ def format_clock(clock: ClockSpec) -> str:
     return "fgh:%s:%d" % (format_level(clock.alpha), clock.k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Composite:
     """Functional composition: run first's clocked semantics, then second's."""
 
@@ -103,7 +103,7 @@ class _Composite:
     second: "ClockedMachine"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClockedMachine:
     machine: Union[MachineTable, _Composite]
     clock: ClockSpec

@@ -46,7 +46,7 @@ class InvalidPair(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClockedTable(ClockedMachine):
     """Decoded sigma word: a machine table together with its embedded clock.
     It runs as it is, under the clock's semantics."""

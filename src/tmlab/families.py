@@ -31,7 +31,7 @@ from .words import index_word, proj1
 DESK_THRESHOLD_BOUND = 1 << 12  # largest table we agree to materialize
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QTable(MachineTable):
     threshold: int = 0  # in-range positions are 0..threshold
     worst_steps: int = 0  # over in-range inputs, pinned by the self-check
@@ -44,7 +44,7 @@ class QTable(MachineTable):
         return (self.alpha, self.n, self.width)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QSpec:
     alpha: object
     n: int
@@ -52,7 +52,7 @@ class QSpec:
     width: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrideReport:
     indices: tuple
     stride: Optional[int]  # None when the progression is not affine
@@ -62,7 +62,7 @@ class StrideReport:
         return self.indices[0] if self.indices else None  # None: empty progression
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeakResult:
     sigma_index: int
     outcome: object  # Found or Exhausted

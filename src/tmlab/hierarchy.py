@@ -44,14 +44,17 @@ EvalOutcome = Union[Value, Overflow]
 
 EPS0 = "eps0"  # the diagonal level: F_eps0(x) = F_{tau(x)}(x)
 # Largest power of two at which a window of F_2 against F_1, the cheapest
-# growing levels, still answers in about 100 ms (89 ms on a 2-core Xeon;
-# F_1 against F_0 took 15 ms)
+# growing levels, answered in about 100 ms when it was set (89 ms).  With F_2
+# run in the evaluator's loop that window answers in 9-18 ms, stopping at
+# x = 2,835 on WINDOW_BITS, and F_1 against F_0 in 5-11 ms (2-core Xeon, best
+# of 5, three runs).  The bound stays: moving it moves `dominate` answers.
 WINDOW_POINTS = 1 << 12
 # The call budget does not bound big-integer work, so a window also stops at
 # the first point where the g values so far pass this many bits in all: the
 # largest power of two at which the worst window under the default budget
-# still answers in about 100 ms (F_2 against F_2: 67 ms, F_3 against F_2:
-# 86 ms on a 2-core Xeon; 2^16 bits took 150 and 191 ms)
+# answered in about 100 ms when it was set (F_2 against F_2 67 ms, F_3
+# against F_2 86 ms).  They now answer in 5-9 and 6-11 ms, and at 2^16 bits
+# in 10-18 and 12-22 ms (2-core Xeon, best of 5, three runs).
 WINDOW_BITS = 1 << 15
 
 
@@ -190,13 +193,13 @@ def _check_poly(coeffs):
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FghFn:
     alpha: Union[OrdinalCNF, str]  # an ordinal, or EPS0 for the diagonal
     poly: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableFn:
     values: tuple
 
@@ -249,17 +252,17 @@ def fn_at_least(d: FnDescriptor, x: int, threshold: int, budget: int):
 
 # --- window domination ----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Holds:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FailsAt:
     x: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unknown:
     x: int
 

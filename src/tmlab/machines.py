@@ -10,7 +10,6 @@ run is fuel-bounded and therefore total.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Union
 
@@ -25,6 +24,11 @@ _SYM_ORDER = {"0": 0, "1": 1, BLANK: 2}  # also the symbol codes on the run tape
 # Row offset of the all-None row that ends a compiled program.  Rules that
 # start a head-still loop jump there, so the run stops one step later.
 _LOOP = -3
+# Every compiled entry (write code, head delta, next row) is taken from here,
+# so equal entries of all tables are one object.  Rows are dense, so it holds
+# at most the 9 entries of each row of the largest program compiled so far,
+# plus the 3 that jump to _LOOP.
+_ENTRIES = {}
 _TO_CODES = bytes.maketrans(b"01", b"\0\1")
 _FROM_CODES = bytes.maketrans(b"\0\1\2", b"01_")
 _PAD = b"\2" * 32  # blank cells on each side of a fresh tape
@@ -44,46 +48,64 @@ class Rule(NamedTuple):
 
 @dataclass(frozen=True)
 class MachineTable:
-    """Quintuple program; rule order is significant for Goedel coding."""
+    """Quintuple program; rule order is significant for Goedel coding.
 
-    rules: tuple[Rule, ...] = ()
+    The only field is `rules`; the compiled program lives in a plain slot,
+    so it takes no part in equality, hashing or `dataclasses.fields`."""
+
+    __slots__ = ("rules", "_program")
+    rules: tuple[Rule, ...]
 
     def __post_init__(self):
         seen = set()
         for r in self.rules:
             if not isinstance(r, Rule):
                 raise InvalidTable("rules must be Rule tuples")
-            if r.state <= 0:
+            q, a, q2, w, m = r
+            if type(q) is not int or type(q2) is not int:
+                raise InvalidTable("states must be integers")
+            if q <= 0:
                 raise InvalidTable("state 0 is final and cannot be a rule source")
-            if r.next_state < 0:
+            if q2 < 0:
                 raise InvalidTable("negative state index")
-            if r.read not in SYMBOLS or r.write not in SYMBOLS:
+            if a not in SYMBOLS or w not in SYMBOLS:
                 raise InvalidTable("symbols must be 0, 1 or blank")
-            if r.move not in MOVES:
+            if m not in MOVES:
                 raise InvalidTable("move must be L, R or N")
-            key = (r.state, r.read)
+            key = (q, a)
             if key in seen:
                 raise InvalidTable("two rules for %r" % (key,))
             seen.add(key)
 
-    @cached_property
+    def __getstate__(self):  # the frozen slots need these to copy and pickle
+        return self.rules
+
+    def __setstate__(self, rules):
+        object.__setattr__(self, "rules", rules)
+
+    @property
     def program(self) -> tuple:
-        """The table compiled for `run`, a flat tuple indexed by row + symbol
-        code (0, 1, 2 for 0, 1, blank).  States 0, 1 and the mentioned ones
-        get rows 0, 3, 6, ... in increasing order.  An entry is (write code,
-        head delta, next state's row), or None where no rule matches; state
-        0's row is all None.  A rule whose chain of N moves comes back to a
-        (state, symbol) pair never lets the run halt: its entry jumps to the
-        _LOOP row instead."""
+        """The table compiled for `run` on first use, a flat tuple indexed by
+        row + symbol code (0, 1, 2 for 0, 1, blank).  States 0, 1 and the
+        mentioned ones get rows 0, 3, 6, ... in increasing order.  An entry
+        is (write code, head delta, next state's row), taken from the shared
+        _ENTRIES, or None where no rule matches; state 0's row is all None.
+        A rule whose chain of N moves comes back to a (state, symbol) pair
+        never lets the run halt: its entry jumps to the _LOOP row instead."""
+        try:
+            return self._program
+        except AttributeError:  # first use
+            pass
         rules = self.rules
         states = sorted({0, 1, *map(itemgetter(0), rules), *map(itemgetter(2), rules)})
         row = dict(zip(states, range(0, 3 * len(states), 3)))
         prog = [None] * (3 * len(states) + 3)
         still = []
-        code, delta = _SYM_ORDER, _DELTA
+        code, delta, shared = _SYM_ORDER, _DELTA, _ENTRIES.setdefault
         for q, a, q2, w, m in rules:
             at = row[q] + code[a]
-            prog[at] = (code[w], delta[m], row[q2])
+            e = (code[w], delta[m], row[q2])
+            prog[at] = shared(e, e)
             if m == "N":
                 still.append(at)
         verdict = {}  # N-move entry -> loops?; None while on the chain being walked
@@ -108,8 +130,11 @@ class MachineTable:
                 verdict[j] = loops
         for j, loops in verdict.items():
             if loops:
-                prog[j] = (prog[j][0], 0, _LOOP)
-        return tuple(prog)
+                e = (prog[j][0], 0, _LOOP)
+                prog[j] = shared(e, e)
+        prog = tuple(prog)
+        object.__setattr__(self, "_program", prog)
+        return prog
 
     def canonical(self) -> "MachineTable":
         """Same rules sorted by (state, symbol), the table itself when they
@@ -153,7 +178,10 @@ def run(table: MachineTable, word: str, fuel: int) -> RunResult:
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
     binary_word(word)
-    prog = table.program
+    try:
+        prog = table._program
+    except AttributeError:  # first run of this table
+        prog = table.program
     tape = bytearray(_PAD)
     tape += word.encode().translate(_TO_CODES)
     tape += _PAD

@@ -50,13 +50,13 @@ class IndeterminateSearch(Exception):
         self.z = z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Found:
     witness: int
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exhausted:
     budget: int
 
@@ -64,7 +64,7 @@ class Exhausted:
 SearchOutcome = Union[Found, Exhausted]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CnfFormula:
     clauses: tuple = ()
     num_vars: int = 0  # may exceed the largest mentioned variable

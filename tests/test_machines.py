@@ -1,6 +1,9 @@
 """Machine model: stepping, running, output convention, table text, and
 the run kernel against the step oracle in tm_oracle."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -27,6 +30,7 @@ from tmlab.machines import (
     run,
     trivial_machine,
 )
+from tmlab.families import QTable
 
 LOOP = MachineTable((Rule(1, "_", 1, "_", "N"),))
 FLIP_ONE = MachineTable((Rule(1, "1", 0, "0", "N"),))
@@ -107,6 +111,48 @@ def test_rule_from_final_state_rejected():
 def test_bad_symbol_rejected():
     with pytest.raises(InvalidTable):
         MachineTable((Rule(1, "x", 0, "0", "N"),))
+
+
+@pytest.mark.parametrize("rule", [
+    Rule(1.5, "0", 0, "1", "N"),  # accepted and run at one time, then unencodable
+    Rule("1", "0", 0, "1", "N"),
+    Rule(1, "0", None, "1", "N"),
+])
+def test_non_integer_state_rejected(rule):
+    with pytest.raises(InvalidTable, match="states must be integers"):
+        MachineTable((rule,))
+
+
+def test_equal_entries_are_one_object_across_tables():
+    a = MachineTable((Rule(1, "0", 0, "1", "R"),))
+    b = MachineTable((Rule(1, "1", 0, "1", "R"), Rule(1, "_", 1, "0", "L")))
+    assert a.program[3] == b.program[4] == (1, 1, 0)
+    assert a.program[3] is b.program[4]
+    other = MachineTable((Rule(1, "1", 1, "_", "N"), Rule(1, "_", 1, "_", "N")))
+    assert LOOP.program[5] is other.program[5]  # the entries that jump to the loop row
+    assert run(b, "1", 10) == iterate(b, "1", 10)
+
+
+def test_compiling_changes_neither_equality_nor_hash():
+    compiled, fresh = MachineTable(BOUNCER.rules), MachineTable(BOUNCER.rules)
+    assert run(compiled, "11", 100) == Halted("", 6)
+    assert compiled == fresh and hash(compiled) == hash(fresh)
+
+
+def test_tables_hold_only_their_rules():
+    assert [f.name for f in dataclasses.fields(MachineTable)] == ["rules"]
+    member = QTable(FLIP_ONE.rules, threshold=1)
+    for table in (FLIP_ONE, member):
+        assert not hasattr(table, "__dict__")
+    assert run(member, "1", 10) == Halted("0", 1)
+
+
+@pytest.mark.parametrize("table", [FLIP_ONE, QTable(FLIP_ONE.rules, threshold=1)])
+def test_tables_copy_and_pickle(table):
+    run(table, "1", 10)
+    for twin in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert twin == table and type(twin) is type(table)
+        assert run(twin, "1", 10) == Halted("0", 1)
 
 
 def test_canonical_sorts_rules():
