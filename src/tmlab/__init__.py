@@ -60,7 +60,7 @@ from .sat import (
     CnfFormula,
     Exhausted,
     Found,
-    IndeterminateSearch,
+    Indeterminate,
     MalformedCnf,
     decode_cnf,
     encode_cnf,

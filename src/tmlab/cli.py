@@ -13,20 +13,20 @@ CLOCKWORK_BUDGET when that is set.
 import argparse
 import json
 import os
+import re
 import sys
+from dataclasses import asdict
 
 from .clocks import (BOUND_BITS, BudgetExceeded, ClockedMachine, clock_bound, clocked_run,
                      format_clock, parse_clock)
 from .codec import ClockedTable, decode_index, encode_table
 from .families import build_Q, clock_stride_analysis, differences, peak_probe, stride_analysis
-from .hierarchy import (FailsAt, Holds, Value, dominates_on_window, fgh_eval,
-                        parse_fn_descriptor, parse_level)
+from .hierarchy import Value, dominates_on_window, fgh_eval, parse_fn_descriptor, parse_level
 from .machines import Halted, format_tm_text, parse_tm_text, run
 from .ordinals import fundamental_sequence, ord_format, ord_parse
 from .registry import FRegistry
-from .sat import (DEFAULT_FUEL, Found, IndeterminateSearch, MalformedCnf, decode_cnf,
-                  encode_cnf, encoded_length, f_neg_A, f_prime, parse_dimacs, solve_E, verify,
-                  verify_cost)
+from .sat import (DEFAULT_FUEL, Found, Indeterminate, MalformedCnf, decode_cnf, encode_cnf,
+                  encoded_length, f_neg_A, f_prime, parse_dimacs, solve_E, verify, verify_cost)
 from .words import binary_word, decimal, index_word, pair, word_index
 
 DEFAULT_BUDGET = 10 ** 4
@@ -68,6 +68,13 @@ def _load_table(path: str):
 
 def _registry(args):
     return None if args.no_registry else FRegistry(args.registry)
+
+
+def _outcome(result) -> dict:
+    """A result dataclass as an outcome: its class name in kebab case as the
+    kind (FailsAt -> fails-at), then its fields."""
+    return {"kind": re.sub("(?<=.)([A-Z])", r"-\1", type(result).__name__).lower(),
+            **asdict(result)}
 
 
 # --- handlers: each yields (inputs, outcome, cost) per record -----------------
@@ -173,19 +180,11 @@ def _cmd_fna_search(args):
     budget = _budget(args)
     inputs = {"machine": args.machine, "budget": budget, "fuel": args.fuel,
               "guarded": args.guarded}
-    try:
-        if args.guarded:
-            got = f_prime(args.machine, budget, args.fuel, _registry(args))
-        else:
-            got = f_neg_A(args.machine, budget, args.fuel)
-    except IndeterminateSearch as stop:
-        outcome = {"kind": "indeterminate", "z": stop.z}
+    if args.guarded:
+        got = f_prime(args.machine, budget, args.fuel, _registry(args))
     else:
-        if isinstance(got, Found):
-            outcome = {"kind": "found", "witness": got.witness, "value": got.value}
-        else:
-            outcome = {"kind": "exhausted", "budget": got.budget}
-    yield inputs, outcome, {}
+        got = f_neg_A(args.machine, budget, args.fuel)
+    yield inputs, _outcome(got), {}
 
 
 def _cmd_ord_eval(args):
@@ -196,7 +195,7 @@ def _cmd_ord_eval(args):
     if isinstance(got, Value):
         yield inputs, {"kind": "value", "value": got.value}, {"calls": got.cost}
     else:
-        yield inputs, {"kind": "overflow", "budget": got.budget}, {}
+        yield inputs, _outcome(got), {}
 
 
 def _cmd_ord_fs(args):
@@ -211,13 +210,7 @@ def _cmd_dominate(args):
     got = dominates_on_window(f_desc, g_desc, (args.lo, args.hi), budget)
     inputs = {"f": args.f, "g": args.g, "lo": args.lo, "hi": args.hi,
               "budget": budget}
-    if isinstance(got, Holds):
-        outcome = {"kind": "holds"}
-    elif isinstance(got, FailsAt):
-        outcome = {"kind": "fails-at", "x": got.x}
-    else:
-        outcome = {"kind": "unknown", "x": got.x}
-    yield inputs, outcome, {}
+    yield inputs, _outcome(got), {}
 
 
 def _cmd_qfam_build(args):
@@ -267,12 +260,12 @@ def _cmd_qfam_peaks(args):
                   "budget": budget, "fuel": args.fuel}
         try:
             got = peak_probe(alpha, n, args.width, budget, args.fuel, registry)
-        except IndeterminateSearch as stop:
-            yield inputs, {"kind": "indeterminate", "z": stop.z}, {}
-            return
         except BudgetExceeded as stop:
             # thresholds do not fall as n grows: later members are out of reach too
             yield inputs, {"kind": "overflow", "reason": str(stop)}, {}
+            return
+        if isinstance(got.outcome, Indeterminate):
+            yield inputs, _outcome(got.outcome), {}
             return
         outcome = {"kind": "peak", "sigma_index": got.sigma_index,
                    "threshold": got.threshold}

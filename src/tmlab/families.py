@@ -65,7 +65,7 @@ class StrideReport:
 @dataclass(frozen=True, slots=True)
 class PeakResult:
     sigma_index: int
-    outcome: object  # Found or Exhausted
+    outcome: object  # Found, Exhausted or Indeterminate
     threshold: int
     first_coord: Optional[int]  # proj1 of the witness, when found
 
@@ -122,11 +122,11 @@ def _measure(table: QTable, entries) -> None:
         word = index_word(x)
         # len(word) ** threshold >= 0, so need <= threshold already fits the
         # clock without computing that power
-        assert need <= threshold or need <= len(word) ** threshold + threshold, \
-            "in-range run exceeds the family clock at %d" % x
+        if not (need <= threshold or need <= len(word) ** threshold + threshold):
+            raise AssertionError("in-range run exceeds the family clock at %d" % x)
         got = run(table, word, need)
-        assert type(got) is Halted and got.output == expected and got.steps == need, \
-            "dispatch self-check failed at position %d" % x
+        if not (type(got) is Halted and got.output == expected and got.steps == need):
+            raise AssertionError("dispatch self-check failed at position %d" % x)
 
 
 def build_q_table(alpha, n: int, width: int = 16,
@@ -159,9 +159,10 @@ codec._family_table = _family_table
 
 def build_Q(alpha, n: int, width: int = 16, registry: Optional[FRegistry] = None):
     """Build the family member, register its family-word index, and return
-    (table, index, spec)."""
-    table = build_q_table(alpha, n, width)
+    (table, index, spec).  The index comes first, so an n that does not fit
+    the width is reported as n."""
     godel = family_index(alpha, n, width)
+    table = build_q_table(alpha, n, width)
     register(godel, registry)
     spec = QSpec(alpha, n, table.threshold, width)
     return table, godel, spec

@@ -8,6 +8,8 @@ the first satisfying one (0 when there is none, and 0 doubles as the honest
 answer on malformed words).  f_neg_A hunts for the least position z where a
 candidate solver's answer fails a satisfiable formula; its scan finds each
 formula's first verifying z with the same first-solution search as solve_E.
+The search answers with a value, never an exception: Found, Exhausted, or
+Indeterminate at a z it can neither confirm nor rule out.
 
 verify, solve_E, the scan and decode_cnf read a formula word once, through one
 grammar (_clauses): a compiled pattern accepts the word and one pass over its
@@ -42,14 +44,6 @@ class MalformedCnf(ValueError):
     pass
 
 
-class IndeterminateSearch(Exception):
-    """The search hit a z it could neither confirm nor rule out."""
-
-    def __init__(self, z: int):
-        super().__init__("undecided at z=%d" % z)
-        self.z = z
-
-
 @dataclass(frozen=True, slots=True)
 class Found:
     witness: int
@@ -61,7 +55,12 @@ class Exhausted:
     budget: int
 
 
-SearchOutcome = Union[Found, Exhausted]
+@dataclass(frozen=True, slots=True)
+class Indeterminate:
+    z: int  # the search could neither confirm nor rule out this z
+
+
+SearchOutcome = Union[Found, Exhausted, Indeterminate]
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,8 +267,7 @@ def solve_E(x: int) -> int:
 
 def f_neg_A(m: int, budget: int, fuel: int = DEFAULT_FUEL) -> SearchOutcome:
     """Scan z = 0, 1, ... below budget for the first counterexample to m.
-    Returns Found(z, z) or Exhausted(budget), or raises IndeterminateSearch
-    (see scan)."""
+    Returns Found(z, z), Exhausted(budget) or Indeterminate(z) (see scan)."""
     return scan(decode_index(m), budget, fuel)
 
 
@@ -277,8 +275,8 @@ def scan(machine, budget: int, fuel: int) -> SearchOutcome:
     """f_neg_A's scan over a decoded machine.  A clocked pair answers under
     its own clock, a plain table within fuel.  When a formula still had to be
     checked and the machine gives no answer, because the table ran out of fuel
-    or the clock's bound is past desk reach, the scan raises
-    IndeterminateSearch at that z.
+    or the clock's bound is past desk reach, the scan answers Indeterminate at
+    that z.
 
     The first z that verifies for formula word x is pair(x, y) at the first
     solution y of x's formula, so the scan visits formula words, not pair
@@ -297,7 +295,7 @@ def scan(machine, budget: int, fuel: int) -> SearchOutcome:
             except BudgetExceeded:
                 got = None
             if got is None or isinstance(got, OutOfFuel):
-                raise IndeterminateSearch(z)
+                return Indeterminate(z)
             if len(got.output) != num_vars or not _satisfies(clauses, got.output)[0]:
                 return Found(z, z)
         if start >= budget:

@@ -48,6 +48,8 @@ SIGMA_F2 = "252183849"  # trivial machine under fgh:2 at k = 5
 SIGMA_F3 = "252184618"  # fgh:3 at k = 8: out of the decoder's budget
 SIGMA_WW = "16139733294"  # fgh:w^w at k = 3: out of the decoder's budget
 SIGMA_EPS0_HUGE = "133118694020816"  # eps0 clock at k = 4,533,791,592
+# a walker under poly:40: erases a lone 0 and halts, walks right forever on 00
+WALKER_POLY40 = "5500360249319885162679420502985408713403859767816649762214"
 
 
 def case(*argv, env=None, seed=None):
@@ -160,6 +162,8 @@ CASES = [
          "--registry", "{registry}", seed=[FAMILY_1_1]),
     case("fna-search", SIGMA_POLY, "--budget", "200", "--guarded", "--no-registry"),
     case("fna-search", FAMILY_1_2048, "--budget", "100000000"),  # threshold 4096
+    case("fna-search", WALKER_POLY40, "--budget", "10"),  # undecided at z = 6
+    case("fna-search", WALKER_POLY40, "--budget", "10", "--guarded", "--no-registry"),
     case("fna-search", "0", env={"CLOCKWORK_BUDGET": "77"}),
     case("fna-search", "0", "--budget", "30", env={"CLOCKWORK_BUDGET": "77"}),
     case("fna-search", "0", "--budget", "100", "--human"),

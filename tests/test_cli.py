@@ -14,7 +14,9 @@ import tmlab
 from tmlab import cli
 from tmlab.clocks import BOUND_BITS
 from tmlab.codec import encode_table
+from tmlab.families import PeakResult
 from tmlab.machines import MachineTable, Rule, format_tm_text
+from tmlab.sat import Indeterminate
 
 GOLDEN = Path(__file__).parent / "golden"
 IDENTITY = ""  # zero rules: halts immediately, tape untouched
@@ -347,6 +349,31 @@ def test_qfam_peaks_exhausted(capsys):
     (rec,) = records(capsys)
     assert rec["outcome"]["result"] == "exhausted"
     assert rec["outcome"]["budget"] == 50
+
+
+def test_qfam_peaks_indeterminate_stops(capsys, monkeypatch):
+    # a member's clocked run always ends, halted or cut at its clock, so no
+    # real probe gives up; a stand-in probe checks that the command prints
+    # the answer and stops, exiting 2
+    def probe(*args):
+        return PeakResult(7, Indeterminate(6), 2, None)
+
+    monkeypatch.setattr(cli, "peak_probe", probe)
+    assert cli.main(["qfam-peaks", "1", "0", "--count", "3", "--no-registry"]) == 2
+    (rec,) = records(capsys)
+    assert rec["outcome"] == {"kind": "indeterminate", "z": 6}
+
+
+@pytest.mark.parametrize("argv", [
+    ["qfam-build", "1", "20"],
+    ["qfam-stride", "1", "15", "--count", "2"],
+    ["qfam-peaks", "1", "16", "--count", "1"],
+])
+def test_qfam_names_the_family_parameter(argv, capsys):
+    assert cli.main([*argv, "--width", "4", "--no-registry"]) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == "error: n must fit the 4-bit field\n"
 
 
 def test_qfam_past_desk_reach_answers_overflow(capsys):

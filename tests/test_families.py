@@ -127,6 +127,31 @@ def test_family_word_decodes_to_its_member_in_a_fresh_interpreter():
     assert got.stdout == "4\n"
 
 
+_CORRUPT_BUILD = """
+from tmlab import families
+from tmlab.ordinals import from_nat
+real = families._dispatch_rules
+families._dispatch_rules = lambda outputs: real([out + "1" for out in outputs])
+try:
+    table = families.build_q_table(from_nat(1), 3)
+except AssertionError as err:
+    print("refused:", err)
+else:
+    print("built unchecked, threshold", table.threshold)
+"""
+
+
+def test_family_self_check_survives_optimized_mode():
+    # python -O strips assert statements; the self-check must still refuse a
+    # member whose table answers wrongly
+    src = str(Path(tmlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    got = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_BUILD], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout == "refused: dispatch self-check failed at position 0\n"
+
+
 def test_build_q_registers_family_word():
     table, godel, spec = build_Q(ORD1, 1)
     assert godel == family_index(ORD1, 1, 16)

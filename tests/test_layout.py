@@ -17,6 +17,8 @@ instance takes about 56 bytes with slots against about 96 with a `__dict__`
 Every top-level function, class and assigned name is used by the package
 itself or by the benchmark in bench/: code that only tests exercise belongs
 in tests/.
+No `assert` statement checks the package's own work: `python -O` strips them,
+so a check that must hold raises explicitly.
 """
 
 import ast
@@ -60,6 +62,10 @@ def test_no_global_statement():
 
 def test_no_nonlocal_statement():
     assert _nodes(ast.Nonlocal) == []
+
+
+def test_no_assert_statement():
+    assert _nodes(ast.Assert) == []
 
 
 ORDINAL_CONSTANTS = {"ZERO", "ONE", "OMEGA"}

@@ -22,7 +22,7 @@ from tmlab.sat import (
     CnfFormula,
     Exhausted,
     Found,
-    IndeterminateSearch,
+    Indeterminate,
     MalformedCnf,
     decode_cnf,
     encode_cnf,
@@ -314,9 +314,7 @@ def test_failure_scan_exhausts_on_correct_solver():
 def test_failure_scan_indeterminate_on_looping_machine():
     loop = MachineTable((Rule(1, "0", 1, "0", "N"), Rule(1, "1", 1, "1", "N"),
                          Rule(1, "_", 1, "_", "N")))
-    with pytest.raises(IndeterminateSearch) as info:
-        f_neg_A(encode_table(loop), 10, fuel=50)
-    assert info.value.z == 0
+    assert f_neg_A(encode_table(loop), 10, fuel=50) == Indeterminate(0)
 
 
 def test_failure_scan_indeterminate_at_step_cap():
@@ -325,9 +323,7 @@ def test_failure_scan_indeterminate_at_step_cap():
     walker = MachineTable((Rule(1, "0", 2, "_", "R"), Rule(2, "0", 3, "0", "R"),
                            *(Rule(3, a, 3, a, "R") for a in "01_")))
     # z = pair(3, 0) = 6 consults the walker on "00" under a bound of 2^40 + 40
-    with pytest.raises(IndeterminateSearch) as info:
-        scan(ClockedMachine(walker, PlainPoly(40)), 10, DEFAULT_FUEL)
-    assert info.value.z == 6
+    assert scan(ClockedMachine(walker, PlainPoly(40)), 10, DEFAULT_FUEL) == Indeterminate(6)
 
 
 def test_failure_scan_cost_follows_formula_words_not_budget():
@@ -346,13 +342,10 @@ from tmlab.clocks import ClockedMachine, Parametrized
 from tmlab.codec import sigma_embed
 from tmlab.families import build_q_table
 from tmlab.ordinals import from_nat
-from tmlab.sat import IndeterminateSearch, f_neg_A
+from tmlab.sat import f_neg_A
 table = build_q_table(from_nat(1), 2)
 m = sigma_embed(ClockedMachine(table, Parametrized(from_nat(2), 40, 8)))
-try:
-    print(f_neg_A(m, 30))
-except IndeterminateSearch as stop:
-    print("indeterminate", stop.z)
+print(f_neg_A(m, 30))
 """
 
 
@@ -364,7 +357,7 @@ def test_failure_scan_indeterminate_when_clock_bound_is_out_of_reach():
     got = subprocess.run([sys.executable, "-c", _FAR_CLOCK_SCAN], env=env,
                          capture_output=True, text=True, timeout=10)
     assert got.returncode == 0, got.stderr
-    assert got.stdout == "indeterminate 6\n"
+    assert got.stdout == "Indeterminate(z=6)\n"
 
 
 def test_guarded_scan_defaults_outside_known_indices():

@@ -2,9 +2,9 @@
 
 The oracle checks every z below the budget with verify(z) and then judges the
 machine's answer with verify(pair(x, answer)), consulting the machine at the
-first verified z of each formula word.  f_neg_A must give the same outcome:
-the same Found or Exhausted, and the same z when a plain machine runs out of
-fuel.
+first verified z of each formula word, and answers with the search's own
+values.  f_neg_A must give an equal one: the same Found or Exhausted, and
+Indeterminate at the same z when a plain machine runs out of fuel.
 """
 
 import random
@@ -19,7 +19,7 @@ from tmlab.clocks import ClockedMachine, PlainPoly, clocked_run
 from tmlab.codec import ClockedTable, decode_index, encode_table, family_index, sigma_embed
 from tmlab.machines import OutOfFuel, run
 from tmlab.ordinals import ord_parse
-from tmlab.sat import Exhausted, Found, IndeterminateSearch, f_neg_A, verify
+from tmlab.sat import Exhausted, Found, Indeterminate, f_neg_A, verify
 from tmlab.words import index_word, pair, proj1, word_index
 
 ORD1 = ord_parse("1")
@@ -44,7 +44,7 @@ def _oracle_runner(m: int, fuel: int):
     return plain
 
 
-def per_z_scan(m: int, budget: int, fuel: int) -> tuple:
+def per_z_scan(m: int, budget: int, fuel: int):
     runner = _oracle_runner(m, fuel)
     answers = {}
     for z in range(budget):
@@ -55,22 +55,10 @@ def per_z_scan(m: int, budget: int, fuel: int) -> tuple:
             try:
                 answers[x] = word_index(runner(index_word(x)))
             except _Starved:
-                return ("indeterminate", z)
+                return Indeterminate(z)
         if verify(pair(x, answers[x])) == 0:
-            return ("found", z)
-    return ("exhausted", budget)
-
-
-def scan(m: int, budget: int, fuel: int) -> tuple:
-    try:
-        got = f_neg_A(m, budget, fuel)
-    except IndeterminateSearch as stop:
-        return ("indeterminate", stop.z)
-    if isinstance(got, Found):
-        assert got.value == got.witness
-        return ("found", got.witness)
-    assert isinstance(got, Exhausted)
-    return ("exhausted", got.budget)
+            return Found(z, z)
+    return Exhausted(budget)
 
 
 def _machine(kind: str, rng: random.Random) -> int:
@@ -87,15 +75,15 @@ def _machine(kind: str, rng: random.Random) -> int:
        st.integers(0, 3000), st.one_of(st.integers(0, 40), st.just(10 ** 6)))
 def test_scan_matches_per_z_oracle(kind, seed, budget, fuel):
     m = _machine(kind, random.Random(seed))
-    assert scan(m, budget, fuel) == per_z_scan(m, budget, fuel)
+    assert f_neg_A(m, budget, fuel) == per_z_scan(m, budget, fuel)
 
 
 def test_fuel_starved_member_stops_at_the_same_z():
     # the member answers short formula words within 5 steps, so the scan
     # consults it several times before a longer word runs it out of fuel
     m = family_index(ORD1, 30, 16)
-    got = scan(m, 3000, 5)
-    assert got == per_z_scan(m, 3000, 5) == ("indeterminate", 234)
+    got = f_neg_A(m, 3000, 5)
+    assert got == per_z_scan(m, 3000, 5) == Indeterminate(234)
 
 
 def _logged(log: list, runner):
@@ -113,7 +101,7 @@ def _consults(m: int, budget: int, fuel: int) -> tuple:
         for module, log in ((sat, ran), (sys.modules[__name__], consulted)):
             patch.setattr(module, "run", _logged(log, machines.run))
             patch.setattr(module, "clocked_run", _logged(log, clocks.clocked_run))
-        got, want = scan(m, budget, fuel), per_z_scan(m, budget, fuel)
+        got, want = f_neg_A(m, budget, fuel), per_z_scan(m, budget, fuel)
     return got, ran, want, consulted
 
 
@@ -135,6 +123,6 @@ def test_a_later_formula_word_can_fail_first():
     assert pair(80, word_index("1")) == 3405 < pair(77, word_index("000")) == 3577
     m = family_index(ORD1, 38, 16)
     got, ran, want, consulted = _consults(m, 5000, 10 ** 6)
-    assert got == want == ("found", 3405)
+    assert got == want == Found(3405, 3405)
     assert ran == consulted
     assert ran[-1] == index_word(80) and index_word(77) not in ran
