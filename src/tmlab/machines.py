@@ -57,7 +57,7 @@ class MachineTable:
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
-        seen = set()
+        reads = {}  # rule source -> bit mask of the symbols it already has a rule for
         for r in self.rules:
             if not isinstance(r, Rule):
                 raise InvalidTable("rules must be Rule tuples")
@@ -72,10 +72,11 @@ class MachineTable:
                 raise InvalidTable("symbols must be 0, 1 or blank")
             if m not in MOVES:
                 raise InvalidTable("move must be L, R or N")
-            key = (q, a)
-            if key in seen:
-                raise InvalidTable("two rules for %r" % (key,))
-            seen.add(key)
+            bit = 1 << _SYM_ORDER[a]
+            mask = reads.get(q, 0)
+            if mask & bit:
+                raise InvalidTable("two rules for %r" % ((q, a),))
+            reads[q] = mask | bit
 
     def __getstate__(self):  # the frozen slots need these to copy and pickle
         return self.rules
@@ -182,14 +183,14 @@ def run(table: MachineTable, word: str, fuel: int) -> RunResult:
         prog = table._program
     except AttributeError:  # first run of this table
         prog = table.program
-    tape = bytearray(_PAD)
-    tape += word.encode().translate(_TO_CODES)
-    tape += _PAD
+    tape = bytearray(_PAD + word.encode().translate(_TO_CODES) + _PAD)
     head = len(_PAD)
     i = 3 if table.rules else 0  # row offset of the current state
     steps = 0
     while i:
-        k = min(head, len(tape) - 1 - head)
+        k = len(tape) - 1 - head  # steps the head can take before it could pass an end
+        if head < k:
+            k = head
         if not k:  # at an end: double the tape on that side
             size = len(tape)
             if head:
@@ -198,9 +199,10 @@ def run(table: MachineTable, word: str, fuel: int) -> RunResult:
                 tape[:0] = b"\2" * size
                 head = size
             continue
-        k = min(k, fuel - steps)
-        if not k:
-            return OutOfFuel(fuel)
+        if fuel - steps < k:
+            k = fuel - steps
+            if not k:
+                return OutOfFuel(fuel)
         for n in range(k):
             e = prog[i + tape[head]]
             if e is None:

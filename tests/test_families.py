@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,19 @@ def test_repeat_build_still_self_checks_every_position(monkeypatch):
     monkeypatch.setattr(families, "run", counting)
     build_q_table(ORD1, 5)
     assert calls == [index_word(x) for x in range(11)]
+
+
+def test_member_build_peak_memory():
+    # a warm T = 4,094 build holds its 12,411 rules (1.45 MB) and, at its peak,
+    # the compile's rows beside them; validation adds only a mask per state
+    build_q_table(ORD1, 2047)  # solve the positions once
+    tracemalloc.start()
+    try:
+        build_q_table(ORD1, 2047)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2e6, peak
 
 
 def test_q_table_zero_threshold():
@@ -286,7 +300,9 @@ def test_dispatch_rules_match_reference_trie():
     mixed = [index_word((7 * x) % 97) for x in range(2048)]  # outputs up to 6 characters
     for t in list(range(301)) + [2047]:
         for outputs in (solver[:t + 1], mixed[:t + 1]):
-            assert _dispatch_rules(outputs) == _reference_trie(outputs), t
+            rules = _dispatch_rules(outputs)
+            assert rules == _reference_trie(outputs), t
+            assert all(type(r) is Rule for r in rules), t
 
 
 def test_file_registry_roundtrip(tmp_path):

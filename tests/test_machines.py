@@ -99,18 +99,44 @@ def test_output_word_requires_halt():
 
 
 def test_duplicate_source_rejected():
-    with pytest.raises(InvalidTable):
+    with pytest.raises(InvalidTable, match=r"two rules for \(1, '0'\)"):
         MachineTable((Rule(1, "0", 0, "0", "N"), Rule(1, "0", 1, "1", "N")))
+    # one source may hold a rule for each symbol; the repeat is found among them
+    with pytest.raises(InvalidTable, match=r"two rules for \(2, '_'\)"):
+        MachineTable((Rule(2, "_", 0, "0", "N"), Rule(2, "0", 0, "0", "N"),
+                      Rule(1, "_", 0, "0", "N"), Rule(2, "1", 0, "0", "N"),
+                      Rule(2, "_", 1, "1", "R")))
 
 
 def test_rule_from_final_state_rejected():
-    with pytest.raises(InvalidTable):
+    with pytest.raises(InvalidTable, match="state 0 is final and cannot be a rule source"):
         MachineTable((Rule(0, "0", 0, "0", "N"),))
 
 
 def test_bad_symbol_rejected():
-    with pytest.raises(InvalidTable):
+    with pytest.raises(InvalidTable, match="symbols must be 0, 1 or blank"):
         MachineTable((Rule(1, "x", 0, "0", "N"),))
+
+
+@pytest.mark.parametrize("rule, message", [
+    (Rule(1, ["0"], 0, "0", "N"), "symbols must be 0, 1 or blank"),
+    (Rule(1, "0", 0, ["0"], "N"), "symbols must be 0, 1 or blank"),
+    (Rule(1, "0", 0, "0", ["N"]), "move must be L, R or N"),
+])
+def test_unhashable_field_rejected_as_invalid_table(rule, message):
+    with pytest.raises(InvalidTable, match=message):
+        MachineTable((rule,))
+
+
+@pytest.mark.parametrize("rules, message", [
+    ((Rule(0, "x", 0, "0", "N"),), "state 0 is final"),  # final source and bad symbol
+    ((Rule(1, "0", -1, "0", "X"),), "negative state index"),  # and a bad move
+    ((Rule(1, "0", 0, "0", "N"), Rule(1, "0", 0, "0", "X")),  # a repeat with a bad move
+     "move must be L, R or N"),
+])
+def test_rule_with_two_faults_reports_the_first_check(rules, message):
+    with pytest.raises(InvalidTable, match=message):
+        MachineTable(rules)
 
 
 @pytest.mark.parametrize("rule", [
