@@ -25,7 +25,7 @@ from .hierarchy import Value, dominates_on_window, fgh_eval, parse_fn_descriptor
 from .machines import Halted, format_tm_text, parse_tm_text, run
 from .ordinals import fundamental_sequence, ord_format, ord_parse
 from .registry import FRegistry
-from .sat import (DEFAULT_FUEL, Found, Indeterminate, MalformedCnf, decode_cnf, encode_cnf,
+from .sat import (DEFAULT_FUEL, Found, MalformedCnf, decode_cnf, encode_cnf,
                   encoded_length, f_neg_A, f_prime, parse_dimacs, solve_E, verify, verify_cost)
 from .words import binary_word, decimal, index_word, pair, word_index
 
@@ -256,16 +256,12 @@ def _cmd_qfam_peaks(args):
     budget = _budget(args)
     registry = _registry(args)
     for n in range(args.n0, args.n0 + args.count):
-        inputs = {"alpha": args.alpha, "n": n, "width": args.width,
-                  "budget": budget, "fuel": args.fuel}
+        inputs = {"alpha": args.alpha, "n": n, "width": args.width, "budget": budget}
         try:
-            got = peak_probe(alpha, n, args.width, budget, args.fuel, registry)
+            got = peak_probe(alpha, n, args.width, budget, registry)
         except BudgetExceeded as stop:
             # thresholds do not fall as n grows: later members are out of reach too
             yield inputs, {"kind": "overflow", "reason": str(stop)}, {}
-            return
-        if isinstance(got.outcome, Indeterminate):
-            yield inputs, _outcome(got.outcome), {}
             return
         outcome = {"kind": "peak", "sigma_index": got.sigma_index,
                    "threshold": got.threshold}
@@ -368,8 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n0", type=_natural)
 
     p = command("qfam-peaks", _cmd_qfam_peaks, "counterexample peaks along a family",
-                registry, _flag("--count", type=_natural, default=3), width,
-                budget, fuel)
+                registry, _flag("--count", type=_natural, default=3), width, budget)
     p.add_argument("alpha")
     p.add_argument("n0", type=_natural)
 

@@ -70,7 +70,7 @@ class StrideReport:
 @dataclass(frozen=True, slots=True)
 class PeakResult:
     sigma_index: int
-    outcome: object  # Found, Exhausted or Indeterminate
+    outcome: object  # Found or Exhausted: a member's clocked run always ends
     threshold: int
     first_coord: Optional[int]  # proj1 of the witness, when found
 
@@ -199,16 +199,14 @@ def clock_stride_analysis(alpha, ns, width: int = 16) -> StrideReport:
     return StrideReport(tuple(indices), _stride_of(indices))
 
 
-def peak_probe(alpha, n: int, width: int = 16,
-               budget: int = 10 ** 4, fuel: int = 10 ** 6,
+def peak_probe(alpha, n: int, width: int = 16, budget: int = 10 ** 4,
                registry: Optional[FRegistry] = None) -> PeakResult:
-    """Build the n-th member, embed it with its own family clock, and search
-    for the first position where the clocked pair answers wrongly."""
+    """Build the n-th member (build_Q registers its family word), embed it with
+    its own family clock, and search for the first position it answers wrongly."""
     table, _, spec = build_Q(alpha, n, width, registry=registry)
     sigma = sigma_embed(ClockedMachine(table, Parametrized(alpha, n, width)))
-    register(sigma, registry)
     # search the member just built, as decode_index(sigma) would produce it
     decoded = clocked_pair(table, ("fgh", alpha, n, width))
-    outcome = scan(decoded, budget, fuel)
+    outcome = scan(decoded, budget)
     first = proj1(outcome.witness) if isinstance(outcome, Found) else None
     return PeakResult(sigma, outcome, spec.threshold, first)

@@ -220,14 +220,10 @@ def run(table: MachineTable, word: str, fuel: int) -> RunResult:
 
 
 def _word_at(tape: bytearray, head: int) -> str:
-    """Maximal contiguous non-blank word containing the head cell; empty on blank."""
+    """Maximal non-blank word at the head, empty on blank; run never writes an end cell."""
     if tape[head] == 2:
         return ""
-    lo = tape.rfind(2, 0, head) + 1
-    hi = tape.find(2, head)
-    if hi < 0:
-        hi = len(tape)
-    return tape[lo:hi].translate(_FROM_CODES).decode()
+    return tape[tape.rfind(2, 0, head) + 1:tape.find(2, head)].translate(_FROM_CODES).decode()
 
 
 def parse_tm_text(text: str) -> MachineTable:

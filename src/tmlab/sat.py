@@ -271,7 +271,7 @@ def f_neg_A(m: int, budget: int, fuel: int = DEFAULT_FUEL) -> SearchOutcome:
     return scan(decode_index(m), budget, fuel)
 
 
-def scan(machine, budget: int, fuel: int) -> SearchOutcome:
+def scan(machine, budget: int, fuel: int = DEFAULT_FUEL) -> SearchOutcome:
     """f_neg_A's scan over a decoded machine.  A clocked pair answers under
     its own clock, a plain table within fuel.  When a formula still had to be
     checked and the machine gives no answer, because the table ran out of fuel

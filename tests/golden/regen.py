@@ -249,6 +249,7 @@ CASES = [
     case("qfam-peaks", "3", "4", "--count", "1", "--no-registry"),
     case("qfam-peaks", "3", "2", "--count", "3", "--no-registry"),
     case("qfam-peaks", "1", "3", "--count", "-2", "--no-registry"),
+    case("qfam-peaks", "1", "0", "--fuel", "5", "--no-registry"),
     # the command line itself
     case(),
     case("--help"),

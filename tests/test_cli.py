@@ -14,9 +14,7 @@ import tmlab
 from tmlab import cli
 from tmlab.clocks import BOUND_BITS
 from tmlab.codec import encode_table
-from tmlab.families import PeakResult
 from tmlab.machines import MachineTable, Rule, format_tm_text
-from tmlab.sat import Indeterminate
 
 GOLDEN = Path(__file__).parent / "golden"
 IDENTITY = ""  # zero rules: halts immediately, tape untouched
@@ -351,17 +349,13 @@ def test_qfam_peaks_exhausted(capsys):
     assert rec["outcome"]["budget"] == 50
 
 
-def test_qfam_peaks_indeterminate_stops(capsys, monkeypatch):
-    # a member's clocked run always ends, halted or cut at its clock, so no
-    # real probe gives up; a stand-in probe checks that the command prints
-    # the answer and stops, exiting 2
-    def probe(*args):
-        return PeakResult(7, Indeterminate(6), 2, None)
-
-    monkeypatch.setattr(cli, "peak_probe", probe)
-    assert cli.main(["qfam-peaks", "1", "0", "--count", "3", "--no-registry"]) == 2
-    (rec,) = records(capsys)
-    assert rec["outcome"] == {"kind": "indeterminate", "z": 6}
+def test_qfam_peaks_takes_no_fuel(capsys):
+    # a probe searches a clocked pair or the trivial machine, and neither
+    # reads fuel, so qfam-peaks has no --fuel flag
+    assert cli.main(["qfam-peaks", "1", "0", "--fuel", "5", "--no-registry"]) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert "unrecognized arguments: --fuel 5" in got.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -513,7 +507,6 @@ def test_determinism(capsys):
     ["qfam-stride", "1", "0", "--count", "-1", "--no-registry"],
     ["qfam-peaks", "1", "3", "--count", "-2", "--no-registry"],
     ["qfam-peaks", "1", "3", "--budget", "-5", "--no-registry"],
-    ["qfam-peaks", "1", "3", "--fuel", "-5", "--no-registry"],
 ])
 def test_negative_amounts_are_usage_errors(argv, capsys):
     assert cli.main(argv) == 1

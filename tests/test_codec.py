@@ -21,7 +21,7 @@ from tmlab.codec import (
 )
 from tmlab.families import build_q_table
 from tmlab.machines import BLANK, MOVES, MachineTable, Rule, trivial_machine
-from tmlab.ordinals import omega_power, ord_parse
+from tmlab.ordinals import OrdinalCNF, omega_power, ord_parse
 from tmlab.words import index_word, word_index
 
 ORD1 = ord_parse("1")
@@ -258,6 +258,61 @@ def test_ordinal_block_depth_bound():
 
     assert is_sigma_image(sigma_word(_tower(codec._MAX_ORD_DEPTH)))
     assert not is_sigma_image(sigma_word(_tower(codec._MAX_ORD_DEPTH + 1)))
+
+
+def _fields(level_block):
+    """Clock-spec and family-word fields: width 4, k or n = 1, and a level
+    block given as bits."""
+    return format(4, "08b") + format(1, "04b") + "0" + level_block
+
+
+def _fgh_sigma_word(level_block, machine_bits=""):
+    """A sigma word under an fgh clock with _fields(level_block); the empty
+    machine block is the trivial machine."""
+    return word_index(codec.TAG_SIGMA + "1" + _fields(level_block) + machine_bits)
+
+
+def _crafted_block(terms):
+    """An ordinal block with the given (exponent, coefficient) terms, written
+    in the given order whether or not they descend."""
+    return codec._gamma(len(terms) + 1) + "".join(
+        codec._ord_bits(e) + codec._gamma(c) for e, c in terms)
+
+
+def _assert_rejected(i):
+    assert not is_sigma_image(i)
+    assert decode_index(i) is trivial_machine()
+
+
+def test_ordinal_blocks_out_of_normal_form_are_rejected():
+    zero, one = ord_parse("0"), ord_parse("1")
+    assert is_sigma_image(_fgh_sigma_word(_crafted_block([(one, 1), (zero, 1)])))  # w + 1
+    for terms in ([(zero, 1), (one, 1)], [(one, 1), (one, 2)], [(zero, 3), (zero, 1)]):
+        block = _crafted_block(terms)
+        with pytest.raises(ValueError, match="strictly descending"):
+            OrdinalCNF(tuple(terms))
+        assert codec._read_ord(block, 0) is None, terms
+        _assert_rejected(_fgh_sigma_word(block))
+
+
+def test_truncated_ordinal_coefficient_is_rejected():
+    # one term with exponent 0, then the start of a coefficient of at least 4
+    block = codec._gamma(2) + codec._ord_bits(ord_parse("0")) + "00"
+    assert codec._read_ord(block, 0) is None
+    _assert_rejected(_fgh_sigma_word(block))
+    _assert_rejected(word_index(codec.TAG_FAMILY + _fields(block)))
+
+
+def test_family_word_with_a_wrong_tail_is_rejected():
+    head = codec.TAG_FAMILY + codec._param_bits(ORD1, 1, 4)
+    good = head + codec.E_MARKER
+    assert decode_index(word_index(good)) == build_q_table(ORD1, 1, 4)
+    assert is_sigma_image(_fgh_sigma_word(_crafted_block([]), good))
+    flipped = codec.E_MARKER[:-1] + ("0" if codec.E_MARKER[-1] == "1" else "1")
+    for tail in ("", codec.E_MARKER[:-1], flipped, codec.E_MARKER + "0", codec.E_MARKER * 2):
+        assert codec._read_family(head + tail) is None, tail
+        _assert_rejected(word_index(head + tail))
+        _assert_rejected(_fgh_sigma_word(_crafted_block([]), head + tail))
 
 
 _SYMBOL = st.sampled_from(("0", "1", BLANK))

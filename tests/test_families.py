@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import tmlab
 from tmlab import codec, families, registry
 from tmlab.clocks import BudgetExceeded, ClockedMachine, Parametrized
-from tmlab.codec import clock_index, decode_index, family_index, sigma_embed
+from tmlab.codec import clock_index, decode_index, family_index, is_sigma_image, sigma_embed
 from tmlab.families import (
     PeakResult,
     QSpec,
@@ -26,8 +26,8 @@ from tmlab.families import (
 )
 from tmlab.machines import BLANK, Halted, Rule, run, trivial_machine
 from tmlab.ordinals import ord_parse
-from tmlab.registry import FRegistry, register
-from tmlab.sat import Exhausted, Found, f_neg_A, solve_E
+from tmlab.registry import FRegistry
+from tmlab.sat import Exhausted, Found, f_neg_A, f_prime, solve_E
 from tmlab.words import index_word, pair, proj1, word_index
 
 ORD1 = ord_parse("1")
@@ -208,9 +208,18 @@ def test_peak_probe_pins():
     assert [p.first_coord for p in probes] == [1, 3, 9]
     for p in probes:
         assert p.first_coord > p.threshold
-        assert registry.registered(p.sigma_index)
+        # f_prime recognizes the sigma word by syntax and searches it
+        assert is_sigma_image(p.sigma_index)
+        assert f_prime(p.sigma_index, 10 ** 4) == f_neg_A(p.sigma_index, 10 ** 4)
     witnesses = [p.outcome.witness for p in probes]
     assert witnesses == sorted(set(witnesses))  # strictly increasing peaks
+
+
+def test_peak_probe_registers_the_family_word_only(tmp_path):
+    reg = FRegistry(tmp_path / "fregistry.txt")
+    probe = peak_probe(ORD1, 2, registry=reg)
+    assert reg.load() == {family_index(ORD1, 2, 16)}
+    assert not registry.registered(probe.sigma_index)
 
 
 def test_peak_probe_exhausts_under_small_budget():
@@ -224,7 +233,6 @@ def _old_peak_probe(alpha, n, budget):
     through the decoder, which builds the member a second time."""
     table, _, spec = build_Q(alpha, n)
     sigma = sigma_embed(ClockedMachine(table, Parametrized(alpha, n, 16)))
-    register(sigma)
     outcome = f_neg_A(sigma, budget)
     first = proj1(outcome.witness) if isinstance(outcome, Found) else None
     return PeakResult(sigma, outcome, spec.threshold, first)
